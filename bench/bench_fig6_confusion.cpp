@@ -47,7 +47,7 @@ int main() {
     std::vector<double> scores(n, 0.0);
     for (std::size_t m = 0; m < n; ++m) {
       scores[m] = detect::match_detections(
-                      stack.system.repository.detector(m).detect(*frame),
+                      stack.system.repository.detector(m).infer(*frame),
                       frame->objects)
                       .f1();
     }

@@ -81,7 +81,7 @@ void BM_DetectorCompressed(benchmark::State& state) {
                                 rng);
   const auto frame = make_frame(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.detect(frame));
+    benchmark::DoNotOptimize(detector.infer(frame));
   }
 }
 BENCHMARK(BM_DetectorCompressed);
@@ -91,7 +91,7 @@ void BM_DetectorLarge(benchmark::State& state) {
   detect::GridDetector detector(detect::GridDetectorConfig::large(), rng);
   const auto frame = make_frame(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.detect(frame));
+    benchmark::DoNotOptimize(detector.infer(frame));
   }
 }
 BENCHMARK(BM_DetectorLarge);

@@ -130,7 +130,7 @@ PrecisionSample measure_arm(core::AnoleSystem& system,
     for (std::size_t i = 0; i < frames.size(); ++i) {
       const Tensor probs = system.decision->suitability(descriptors[i]);
       const auto dets =
-          system.repository.detector(served[i]).detect(*frames[i]);
+          system.repository.detector(served[i]).infer(*frames[i]);
       sink = sink + probs[0] + static_cast<double>(dets.size());
     }
     best = std::min(best, seconds_since(start));

@@ -18,6 +18,14 @@ from anole_analyze.lexer import Token
 # The per-frame OMI hot path: a fault here must degrade, never abort.
 NO_THROW_FILES = {"src/core/engine.cpp", "src/core/model_cache.cpp"}
 
+# The only src/ files that may call a module's training forward(): the
+# composite that forwards its children, and the three training loops.
+# Everything else runs the const infer() path (DESIGN.md §12).
+TRAINING_FORWARD_FILES = {
+    "src/nn/sequential.cpp", "src/nn/trainer.cpp",
+    "src/detect/detector_trainer.cpp", "src/core/scene_encoder.cpp",
+}
+
 # The only files allowed to reinterpret_cast raw weight/SIMD bytes.
 REINTERPRET_CAST_FILES = {"src/nn/serialize.hpp", "src/tensor/simd.cpp"}
 
@@ -197,6 +205,24 @@ def rule_no_throw_omi_hot_path(ctx: FileContext):
             yield Finding(ctx.rel, t.line, "no-throw-omi-hot-path",
                           "literal throw banned in the OMI hot path; "
                           "degrade via the ladder or use ANOLE_CHECK")
+
+
+def rule_no_training_forward(ctx: FileContext):
+    """`.forward(` / `->forward(` calls banned under src/ outside the
+    training loops: forward() writes backward caches, so serving and
+    evaluation code must call the const infer() instead."""
+    if not ctx.in_src or ctx.rel in TRAINING_FORWARD_FILES:
+        return
+    toks = ctx.tokens
+    for i, t in enumerate(toks):
+        if (_is(t, "ident", "forward")
+                and (_is(_prev(toks, i), "punct", ".")
+                     or _is(_prev(toks, i), "punct", "->"))
+                and _is(_next(toks, i), "punct", "(")):
+            yield Finding(ctx.rel, t.line, "no-training-forward",
+                          "training forward() call outside the training "
+                          "loops; serve and evaluate through the const "
+                          "infer() path")
 
 
 def rule_no_reinterpret_cast(ctx: FileContext):
@@ -546,6 +572,7 @@ ALL_FILE_RULES = [
     ("no-cout", rule_no_cout),
     ("no-raw-thread", rule_no_raw_thread),
     ("no-throw-omi-hot-path", rule_no_throw_omi_hot_path),
+    ("no-training-forward", rule_no_training_forward),
     ("no-reinterpret-cast", rule_no_reinterpret_cast),
     ("no-naked-intrinsics", rule_no_naked_intrinsics),
     ("no-wallclock", rule_no_wallclock),
@@ -567,6 +594,8 @@ RULE_DOCS = {
     "no-cout": "std::cout banned outside examples/ and bench/",
     "no-raw-thread": "raw threads banned; use the deterministic pool",
     "no-throw-omi-hot-path": "no literal throw in the OMI hot path",
+    "no-training-forward":
+        "forward() only in the training loops; everything else infer()",
     "no-reinterpret-cast": "reinterpret_cast only in sanctioned homes",
     "no-naked-intrinsics":
         "vendor SIMD intrinsics only inside src/tensor/simd.*",

@@ -133,6 +133,12 @@ class TestPortedRules(unittest.TestCase):
         got = findings_for("no-throw-omi-hot-path")
         self.assertEqual(got, {"src/core/engine.cpp": [6]})
 
+    def test_no_training_forward(self):
+        got = findings_for("no-training-forward")
+        # Member calls fire; the exempt training loop, the declaration,
+        # literals and comments stay quiet.
+        self.assertEqual(got, {"src/core/bad_forward.cpp": [10, 11]})
+
     def test_no_wallclock_extended_spellings(self):
         got = findings_for("no-wallclock")
         self.assertEqual(got, {"src/core/bad_wallclock.cpp": [13, 18, 23, 27]})

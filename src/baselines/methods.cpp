@@ -25,7 +25,7 @@ SingleModelMethod::SingleModelMethod(
 
 std::vector<detect::Detection> SingleModelMethod::infer(
     const world::Frame& frame) {
-  return detector_->detect(frame);
+  return detector_->infer(frame);
 }
 
 std::uint64_t SingleModelMethod::detector_flops() const {
@@ -64,7 +64,7 @@ std::size_t CdgMethod::select_cluster(const world::Frame& frame) const {
 }
 
 std::vector<detect::Detection> CdgMethod::infer(const world::Frame& frame) {
-  return detectors_[select_cluster(frame)]->detect(frame);
+  return detectors_[select_cluster(frame)]->infer(frame);
 }
 
 std::uint64_t CdgMethod::detector_flops() const {
@@ -128,7 +128,7 @@ DmmMethod::DmmMethod(
 std::vector<detect::Detection> DmmMethod::infer(const world::Frame& frame) {
   ANOLE_CHECK_RANGE(frame.dataset_id, detectors_.size(),
                     "DmmMethod::infer: unknown dataset");
-  return detectors_[frame.dataset_id]->detect(frame);
+  return detectors_[frame.dataset_id]->infer(frame);
 }
 
 std::uint64_t DmmMethod::detector_flops() const {

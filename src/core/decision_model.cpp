@@ -55,7 +55,7 @@ DecisionDataset build_decision_dataset(ModelRepository& repository,
     // per-frame best, weighted by their F1 so clearly better models get
     // more label mass.
     std::vector<double> scores(n_models, 0.0);
-    // Scoring fans out over the pool through the const Detector::infer
+    // Scoring fans out over the pool through the const GridDetector::infer
     // path (disjoint writes, no rng draws, no module state). No work
     // hint: each model is a full network pass, always worth a chunk.
     par::parallel_for(0, n_models, 1, [&](std::size_t m) {
@@ -111,7 +111,6 @@ DecisionModel::DecisionModel(SceneEncoder& encoder, std::size_t model_count,
                              rng);
   head_->emplace<nn::ReLU>();
   head_->emplace<nn::Linear>(config.hidden_width, model_count, rng);
-  head_->set_training(false);
 }
 
 nn::TrainResult DecisionModel::train(const DecisionDataset& dataset,
@@ -124,12 +123,12 @@ nn::TrainResult DecisionModel::train(const DecisionDataset& dataset,
                                    config_.train, rng);
 }
 
-Tensor DecisionModel::suitability(const Tensor& descriptors) {
-  head_->set_training(false);
-  return nn::softmax_rows(head_->forward(encoder_->embed(descriptors)));
+Tensor DecisionModel::suitability(const Tensor& descriptors) const {
+  return nn::softmax_rows(head_->infer(encoder_->embed(descriptors)));
 }
 
-std::vector<std::size_t> DecisionModel::rank(const Tensor& descriptor_row) {
+std::vector<std::size_t> DecisionModel::rank(
+    const Tensor& descriptor_row) const {
   ANOLE_CHECK(descriptor_row.rank() == 2 && descriptor_row.rows() == 1,
               "DecisionModel::rank: expected a single descriptor row, got ",
               shape_to_string(descriptor_row.shape()));
@@ -148,7 +147,7 @@ std::uint64_t DecisionModel::flops_per_sample() const {
   return encoder_->trunk_flops_per_sample() + head_->flops_per_sample();
 }
 
-std::uint64_t DecisionModel::head_weight_bytes() {
+std::uint64_t DecisionModel::head_weight_bytes() const {
   // Matches the artifact accounting: ANOLEWTS blob size while fp32, the
   // compact precision-tagged size once quantized (artifact v3).
   return nn::streamed_weight_bytes(*head_);

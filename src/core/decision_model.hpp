@@ -72,10 +72,10 @@ class DecisionModel {
   nn::TrainResult train(const DecisionDataset& dataset, Rng& rng);
 
   /// Suitability probabilities for a batch of descriptors: [n, models].
-  Tensor suitability(const Tensor& descriptors);
+  Tensor suitability(const Tensor& descriptors) const;
 
   /// Model indices sorted by descending suitability for one descriptor row.
-  std::vector<std::size_t> rank(const Tensor& descriptor_row);
+  std::vector<std::size_t> rank(const Tensor& descriptor_row) const;
 
   std::size_t model_count() const { return model_count_; }
   const DecisionModelConfig& config() const { return config_; }
@@ -84,9 +84,10 @@ class DecisionModel {
   std::uint64_t flops_per_sample() const;
 
   /// Serialized size of the head (the downloadable M_decision artifact).
-  std::uint64_t head_weight_bytes();
+  std::uint64_t head_weight_bytes() const;
 
   nn::Sequential& head() { return *head_; }
+  const nn::Sequential& head() const { return *head_; }
 
  private:
   SceneEncoder* encoder_;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "nn/quantize.hpp"
 #include "util/check.hpp"
@@ -39,7 +40,8 @@ double mem_budget_mb_from_env() {
 
 }  // namespace
 
-AnoleEngine::AnoleEngine(AnoleSystem& system, const EngineConfig& config)
+AnoleEngine::AnoleEngine(const AnoleSystem& system,
+                         const EngineConfig& config)
     : system_(&system),
       config_(config),
       faults_(config.faults ? config.faults
@@ -112,13 +114,12 @@ AnoleEngine::AnoleEngine(AnoleSystem& system, const EngineConfig& config)
   effective_smoothing_ = config.suitability_smoothing;
 }
 
-AnoleEngine::AnoleEngine(AnoleSystem& system, const CacheConfig& cache_config)
+AnoleEngine::AnoleEngine(const AnoleSystem& system,
+                         const CacheConfig& cache_config)
     : AnoleEngine(system, EngineConfig{cache_config, 0.0, 0.0, nullptr}) {}
 
 EngineResult AnoleEngine::process(const world::Frame& frame) {
-  const Tensor descriptor = featurizer_.featurize(frame);
-  const Tensor probs = system_->decision->suitability(descriptor);
-  return process_with_suitability(frame, probs.row(0));
+  return std::move(process_batch({&frame}).front());
 }
 
 std::vector<EngineResult> AnoleEngine::process_batch(
@@ -146,7 +147,7 @@ std::vector<EngineResult> AnoleEngine::process_batch(
         plan_with_suitability(results[i], probs.row(i)).value_or(kNoDetect);
   }
   // Detect stage: fan out across frames through the const
-  // Detector::infer path (grain 1: one frame is a full network pass).
+  // GridDetector::infer path (grain 1: one frame is a full network pass).
   // Frames sharing a detector are safe — infer writes no module state —
   // and nested tensor kernels inside a pool worker run inline with
   // thread-count-invariant chunking, so each frame's detections are
@@ -158,17 +159,6 @@ std::vector<EngineResult> AnoleEngine::process_batch(
         system_->repository.detector(planned[i]).infer(*frames[i]);
   });
   return results;
-}
-
-EngineResult AnoleEngine::process_with_suitability(
-    const world::Frame& frame, std::span<const float> probs) {
-  EngineResult result;
-  const std::optional<std::size_t> model =
-      plan_with_suitability(result, probs);
-  if (model.has_value()) {
-    result.detections = system_->repository.detector(*model).infer(frame);
-  }
-  return result;
 }
 
 std::optional<std::size_t> AnoleEngine::plan_with_suitability(
@@ -262,7 +252,7 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
     result.health.payload_corrupt = true;
     ++payload_corrupt_frames_;
   } else {
-    detect::GridDetector& served =
+    const detect::GridDetector& served =
         system_->repository.detector(admission.served_model);
     result.health.served_quantized = nn::is_quantized(served.network());
     if (result.health.served_quantized) ++quantized_frames_;

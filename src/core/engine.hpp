@@ -133,9 +133,10 @@ struct EngineResult {
 class AnoleEngine {
  public:
   /// `system` must outlive the engine.
-  AnoleEngine(AnoleSystem& system, const EngineConfig& config);
-  AnoleEngine(AnoleSystem& system, const CacheConfig& cache_config);
+  AnoleEngine(const AnoleSystem& system, const EngineConfig& config);
+  AnoleEngine(const AnoleSystem& system, const CacheConfig& cache_config);
 
+  /// One frame: process_batch() over a batch of one.
   EngineResult process(const world::Frame& frame);
 
   /// Processes `frames` in stream order in three stages. Featurization
@@ -143,11 +144,11 @@ class AnoleEngine {
   /// (batched matmuls). The stateful plan stage (temporal smoothing,
   /// governor directives, cache admission, every fault draw and counter)
   /// then runs sequentially in frame order. Finally the detect stage fans
-  /// out across frames through the const Detector::infer path — per-frame
-  /// detections depend only on that frame's planned model, and nested
-  /// tensor kernels use thread-count-invariant chunking — so the results,
-  /// and any injected fault schedule, are bitwise identical to calling
-  /// process() frame by frame at any thread count.
+  /// out across frames through the const GridDetector::infer path —
+  /// per-frame detections depend only on that frame's planned model, and
+  /// nested tensor kernels use thread-count-invariant chunking — so the
+  /// results, and any injected fault schedule, are bitwise identical to
+  /// calling process() frame by frame at any thread count.
   std::vector<EngineResult> process_batch(
       const std::vector<const world::Frame*>& frames);
 
@@ -222,17 +223,12 @@ class AnoleEngine {
   fault::FaultInjector* faults() { return faults_.get(); }
 
  private:
-  /// Shared tail of process()/process_batch(): everything after the
-  /// suitability probabilities for one frame are known.
-  EngineResult process_with_suitability(const world::Frame& frame,
-                                        std::span<const float> probs);
-
   /// Stateful plan stage for one frame: governor directive, MSS ranking
   /// (or throttled reuse), cache admission, every fault draw and counter
   /// update — everything except running the detector. Must be called in
   /// frame order. Returns the model to run detection with, or nullopt
   /// when no detector runs (shed frame or corrupt payload); the detect
-  /// stage itself is const (Detector::infer) and may fan out.
+  /// stage itself is const (GridDetector::infer) and may fan out.
   std::optional<std::size_t> plan_with_suitability(
       EngineResult& result, std::span<const float> probs);
 
@@ -242,7 +238,7 @@ class AnoleEngine {
   std::vector<std::size_t> rank_suitability(EngineResult& result,
                                             std::span<const float> probs);
 
-  AnoleSystem* system_;
+  const AnoleSystem* system_;
   EngineConfig config_;
   std::shared_ptr<fault::FaultInjector> faults_;
   ModelCache cache_;

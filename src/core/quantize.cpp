@@ -58,10 +58,10 @@ bool quantize_with_probe_guard(nn::Sequential& net,
   if (width == 0) return false;
   const Tensor probes =
       probe_inputs(config.probes, width, config.probe_seed);
-  const Tensor fp32_out = net.forward(probes);
+  const Tensor fp32_out = net.infer(probes);
   auto displaced = nn::quantize_linear_layers(net);
   if (displaced.empty()) return false;
-  const Tensor int8_out = net.forward(probes);
+  const Tensor int8_out = net.infer(probes);
   delta_out = mean_abs_delta(fp32_out, int8_out);
   if (delta_out > config.max_output_delta) {
     restore(net, std::move(displaced));

@@ -55,6 +55,13 @@ class ModelRepository {
                         " has no detector");
     return *models_[i].detector;
   }
+  const detect::GridDetector& detector(std::size_t i) const {
+    ANOLE_CHECK_RANGE(i, models_.size(), "ModelRepository::detector");
+    ANOLE_CHECK_NOTNULL(models_[i].detector,
+                        "ModelRepository::detector: model ", i,
+                        " has no detector");
+    return *models_[i].detector;
+  }
 
   void add(SceneModel model) {
     ANOLE_CHECK_NOTNULL(model.detector,

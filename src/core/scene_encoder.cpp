@@ -18,8 +18,6 @@ SceneEncoder::SceneEncoder(std::size_t class_count,
   trunk_->emplace<nn::ReLU>();
   head_ = std::make_unique<nn::Sequential>();
   head_->emplace<nn::Linear>(config.embedding_dim, class_count, rng);
-  trunk_->set_training(false);
-  head_->set_training(false);
 }
 
 Tensor SceneEncoder::forward(const Tensor& input) {
@@ -40,12 +38,6 @@ std::vector<nn::Parameter*> SceneEncoder::parameters() {
   return params;
 }
 
-void SceneEncoder::set_training(bool training) {
-  nn::Module::set_training(training);
-  trunk_->set_training(training);
-  head_->set_training(training);
-}
-
 std::uint64_t SceneEncoder::flops_per_sample() const {
   return trunk_->flops_per_sample() + head_->flops_per_sample();
 }
@@ -62,14 +54,12 @@ nn::TrainResult SceneEncoder::train(const Tensor& descriptors,
                               val_descriptors, val_labels);
 }
 
-Tensor SceneEncoder::embed(const Tensor& descriptors) {
-  trunk_->set_training(false);
-  return trunk_->forward(descriptors);
+Tensor SceneEncoder::embed(const Tensor& descriptors) const {
+  return trunk_->infer(descriptors);
 }
 
-Tensor SceneEncoder::classify(const Tensor& descriptors) {
-  set_training(false);
-  return forward(descriptors);
+Tensor SceneEncoder::classify(const Tensor& descriptors) const {
+  return infer(descriptors);
 }
 
 }  // namespace anole::core

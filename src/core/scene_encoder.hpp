@@ -38,7 +38,6 @@ class SceneEncoder : public nn::Module {
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<nn::Parameter*> parameters() override;
-  void set_training(bool training) override;
   std::string name() const override { return "M_scene"; }
   std::uint64_t flops_per_sample() const override;
 
@@ -49,10 +48,10 @@ class SceneEncoder : public nn::Module {
                         std::span<const std::size_t> val_labels = {});
 
   /// Scene embeddings (trunk activations) for a batch of descriptors.
-  Tensor embed(const Tensor& descriptors);
+  Tensor embed(const Tensor& descriptors) const;
 
   /// Classifier logits over semantic scene classes.
-  Tensor classify(const Tensor& descriptors);
+  Tensor classify(const Tensor& descriptors) const;
 
   std::size_t embedding_dim() const { return config_.embedding_dim; }
   std::size_t class_count() const { return class_count_; }

@@ -62,7 +62,6 @@ DetectorTrainResult train_detector(
   if (frames.empty()) return result;
 
   nn::Sequential& net = detector.network();
-  net.set_training(true);
   nn::Adam optimizer(net.parameters(), config.learning_rate, 0.9, 0.999,
                      1e-8, config.weight_decay);
 
@@ -139,23 +138,22 @@ DetectorTrainResult train_detector(
       log_info(detector.name(), " epoch ", epoch, " loss ", epoch_loss);
     }
   }
-  net.set_training(false);
   return result;
 }
 
-double evaluate_f1(Detector& detector,
+double evaluate_f1(const GridDetector& detector,
                    const std::vector<const world::Frame*>& frames,
                    double iou_threshold) {
   return evaluate_counts(detector, frames, iou_threshold).f1();
 }
 
-MatchCounts evaluate_counts(Detector& detector,
+MatchCounts evaluate_counts(const GridDetector& detector,
                             const std::vector<const world::Frame*>& frames,
                             double iou_threshold) {
   MatchCounts counts;
   for (const world::Frame* frame : frames) {
     ANOLE_CHECK_NOTNULL(frame, "evaluate_counts: null frame pointer");
-    counts += match_detections(detector.detect(*frame), frame->objects,
+    counts += match_detections(detector.infer(*frame), frame->objects,
                                iou_threshold);
   }
   return counts;

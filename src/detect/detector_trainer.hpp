@@ -42,12 +42,12 @@ DetectorTrainResult train_detector(GridDetector& detector,
                                    Rng& rng);
 
 /// Mean frame-level F1 of a detector over frames.
-double evaluate_f1(Detector& detector,
+double evaluate_f1(const GridDetector& detector,
                    const std::vector<const world::Frame*>& frames,
                    double iou_threshold = kDefaultIouThreshold);
 
 /// Aggregate match counts of a detector over frames.
-MatchCounts evaluate_counts(Detector& detector,
+MatchCounts evaluate_counts(const GridDetector& detector,
                             const std::vector<const world::Frame*>& frames,
                             double iou_threshold = kDefaultIouThreshold);
 

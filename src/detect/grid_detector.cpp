@@ -66,7 +66,6 @@ GridDetector::GridDetector(const GridDetectorConfig& config, Rng& rng,
   for (std::size_t h : config.hidden) widths.push_back(h);
   widths.push_back(kOutputsPerCell);
   network_ = nn::make_mlp(widths, rng);
-  network_->set_training(false);
 }
 
 std::size_t GridDetector::input_features() {
@@ -161,12 +160,6 @@ GridDetector::Targets GridDetector::build_targets(const world::Frame& frame) {
   return targets;
 }
 
-std::vector<Detection> GridDetector::detect(const world::Frame& frame) {
-  // Detection never backpropagates (training drives network().forward
-  // directly), so the mutable path just delegates to the const one.
-  return infer(frame);
-}
-
 std::vector<Detection> GridDetector::infer(const world::Frame& frame) const {
   const std::size_t g = frame.grid_size;
   ANOLE_CHECK_EQ(g, grid_size_,
@@ -201,7 +194,7 @@ std::uint64_t GridDetector::flops_per_frame() const {
          static_cast<std::uint64_t>(grid_size_ * grid_size_);
 }
 
-std::uint64_t GridDetector::weight_bytes() {
+std::uint64_t GridDetector::weight_bytes() const {
   // fp32 networks report the ANOLEWTS blob size (artifact v1/v2
   // accounting); quantized networks report the compact v3 wire size, so
   // cache misses charge ~4x fewer streamed bytes.

@@ -20,30 +20,6 @@
 
 namespace anole::detect {
 
-/// Abstract detector, the unit Anole routes between.
-class Detector {
- public:
-  virtual ~Detector() = default;
-
-  /// Runs detection on one frame (post NMS).
-  virtual std::vector<Detection> detect(const world::Frame& frame) = 0;
-
-  /// Const detection path: identical results to detect(), but guaranteed
-  /// to write no state (it runs the network through nn::Module::infer),
-  /// so concurrent infer() calls on one detector are safe as long as no
-  /// thread mutates the detector concurrently. This is what the engine's
-  /// batch path fans out over frames.
-  virtual std::vector<Detection> infer(const world::Frame& frame) const = 0;
-
-  virtual std::string name() const = 0;
-
-  /// Per-frame multiply-accumulate cost (drives the device simulator).
-  virtual std::uint64_t flops_per_frame() const = 0;
-
-  /// Serialized weight size in bytes (drives load latency and memory).
-  virtual std::uint64_t weight_bytes() = 0;
-};
-
 struct GridDetectorConfig {
   /// Hidden layer widths of the shared per-cell head.
   std::vector<std::size_t> hidden = {24};
@@ -62,7 +38,8 @@ struct GridDetectorConfig {
   static GridDetectorConfig large(std::string name = "deep");
 };
 
-class GridDetector : public Detector {
+/// The detector Anole routes between.
+class GridDetector {
  public:
   /// Outputs per cell: objectness logit + (dx, dy, w, h).
   static constexpr std::size_t kOutputsPerCell = 5;
@@ -70,11 +47,17 @@ class GridDetector : public Detector {
   GridDetector(const GridDetectorConfig& config, Rng& rng,
                std::size_t grid_size = world::kDefaultGridSize);
 
-  std::vector<Detection> detect(const world::Frame& frame) override;
-  std::vector<Detection> infer(const world::Frame& frame) const override;
-  std::string name() const override { return config_.name; }
-  std::uint64_t flops_per_frame() const override;
-  std::uint64_t weight_bytes() override;
+  /// Runs detection on one frame (post NMS). Writes no state (the
+  /// network runs through nn::Module::infer), so concurrent infer() calls
+  /// on one detector are safe as long as no thread mutates it.
+  std::vector<Detection> infer(const world::Frame& frame) const;
+  std::string name() const { return config_.name; }
+
+  /// Per-frame multiply-accumulate cost (drives the device simulator).
+  std::uint64_t flops_per_frame() const;
+
+  /// Streamed weight size in bytes (drives load latency and memory).
+  std::uint64_t weight_bytes() const;
 
   /// Width of one per-cell input row.
   static std::size_t input_features();
@@ -92,6 +75,7 @@ class GridDetector : public Detector {
   static Targets build_targets(const world::Frame& frame);
 
   nn::Sequential& network() { return *network_; }
+  const nn::Sequential& network() const { return *network_; }
   const GridDetectorConfig& config() const { return config_; }
   std::size_t grid_size() const { return grid_size_; }
 

@@ -22,13 +22,8 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
 }
 
 Tensor Linear::forward(const Tensor& input) {
-  ANOLE_CHECK(input.rank() == 2 && input.cols() == in_features_,
-              "Linear::forward: expected [batch, ", in_features_, "], got ",
-              shape_to_string(input.shape()));
   cached_input_ = input;
-  Tensor out = matmul(input, weight_.value);
-  add_row_broadcast(out, bias_.value);
-  return out;
+  return infer(input);
 }
 
 Tensor Linear::infer(const Tensor& input) const {
@@ -60,7 +55,10 @@ std::uint64_t Linear::flops_per_sample() const {
 
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
-  last_width_ = input.rank() == 2 ? input.cols() : input.size();
+  return infer(input);
+}
+
+Tensor ReLU::infer(const Tensor& input) const {
   // Single pass into an uninitialized output instead of copy-then-clamp:
   // same values, one fewer sweep over the activation buffer.
   Tensor out = Tensor::uninitialized(input.shape());
@@ -72,17 +70,12 @@ Tensor ReLU::forward(const Tensor& input) {
   return out;
 }
 
-Tensor ReLU::infer(const Tensor& input) const {
-  Tensor out = Tensor::uninitialized(input.shape());
-  auto in = input.data();
-  auto o = out.data();
-  for (std::size_t i = 0; i < o.size(); ++i) {
-    o[i] = in[i] > 0.0f ? in[i] : 0.0f;
-  }
-  return out;
-}
-
 Tensor ReLU::backward(const Tensor& grad_output) {
+  ANOLE_CHECK(grad_output.shape() == cached_input_.shape(),
+              "ReLU::backward: grad shape ",
+              shape_to_string(grad_output.shape()),
+              " does not match the last forward input ",
+              shape_to_string(cached_input_.shape()));
   Tensor grad = Tensor::uninitialized(grad_output.shape());
   auto in = cached_input_.data();
   auto go = grad_output.data();
@@ -93,47 +86,15 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor LeakyReLU::forward(const Tensor& input) {
-  cached_input_ = input;
-  last_width_ = input.rank() == 2 ? input.cols() : input.size();
-  Tensor out = input;
-  for (auto& v : out.data()) {
-    if (v < 0.0f) v *= negative_slope_;
-  }
-  return out;
-}
-
-Tensor LeakyReLU::infer(const Tensor& input) const {
-  Tensor out = input;
-  for (auto& v : out.data()) {
-    if (v < 0.0f) v *= negative_slope_;
-  }
-  return out;
-}
-
-Tensor LeakyReLU::backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
-  auto in = cached_input_.data();
-  auto g = grad.data();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (in[i] < 0.0f) g[i] *= negative_slope_;
-  }
-  return grad;
-}
-
 Tensor Sigmoid::forward(const Tensor& input) {
-  last_width_ = input.rank() == 2 ? input.cols() : input.size();
-  // σ through the dispatched transcendental kernel (libm at scalar/SSE2,
-  // polynomial at AVX2 — DESIGN.md §13), written straight into an
-  // uninitialized output.
-  Tensor out = Tensor::uninitialized(input.shape());
-  simd::sigmoid_terms(simd::active_level(), input.data().data(), input.size(),
-                      out.data().data(), nullptr);
-  cached_output_ = out;
-  return out;
+  cached_output_ = infer(input);
+  return cached_output_;
 }
 
 Tensor Sigmoid::infer(const Tensor& input) const {
+  // σ through the dispatched transcendental kernel (libm at scalar/SSE2,
+  // polynomial at AVX2 — DESIGN.md §13), written straight into an
+  // uninitialized output.
   Tensor out = Tensor::uninitialized(input.shape());
   simd::sigmoid_terms(simd::active_level(), input.data().data(), input.size(),
                       out.data().data(), nullptr);
@@ -141,161 +102,16 @@ Tensor Sigmoid::infer(const Tensor& input) const {
 }
 
 Tensor Sigmoid::backward(const Tensor& grad_output) {
+  ANOLE_CHECK(grad_output.shape() == cached_output_.shape(),
+              "Sigmoid::backward: grad shape ",
+              shape_to_string(grad_output.shape()),
+              " does not match the last forward output ",
+              shape_to_string(cached_output_.shape()));
   Tensor grad = grad_output;
   auto y = cached_output_.data();
   auto g = grad.data();
   for (std::size_t i = 0; i < g.size(); ++i) g[i] *= y[i] * (1.0f - y[i]);
   return grad;
 }
-
-Tensor Tanh::forward(const Tensor& input) {
-  last_width_ = input.rank() == 2 ? input.cols() : input.size();
-  Tensor out = input;
-  for (auto& v : out.data()) v = std::tanh(v);
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Tanh::infer(const Tensor& input) const {
-  Tensor out = input;
-  for (auto& v : out.data()) v = std::tanh(v);
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
-  auto y = cached_output_.data();
-  auto g = grad.data();
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= 1.0f - y[i] * y[i];
-  return grad;
-}
-
-Dropout::Dropout(float rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
-  ANOLE_CHECK(rate >= 0.0f && rate < 1.0f,
-              "Dropout: rate must be in [0, 1), got ", rate);
-}
-
-Tensor Dropout::forward(const Tensor& input) {
-  if (!training() || rate_ == 0.0f) {
-    mask_ = Tensor();
-    return input;
-  }
-  mask_ = Tensor(input.shape());
-  const float keep = 1.0f - rate_;
-  Tensor out = input;
-  auto m = mask_.data();
-  auto o = out.data();
-  for (std::size_t i = 0; i < o.size(); ++i) {
-    // Inverted dropout keeps inference a no-op.
-    m[i] = rng_.bernoulli(keep) ? 1.0f / keep : 0.0f;
-    o[i] *= m[i];
-  }
-  return out;
-}
-
-Tensor Dropout::infer(const Tensor& input) const {
-  // Inverted dropout: inference is a no-op at any rate.
-  return input;
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (mask_.empty()) return grad_output;
-  Tensor grad = grad_output;
-  grad *= mask_;
-  return grad;
-}
-
-LayerNorm::LayerNorm(std::size_t features, float epsilon)
-    : features_(features),
-      epsilon_(epsilon),
-      gain_(Tensor(Shape{features}, 1.0f)),
-      bias_(Tensor(Shape{features})) {
-  ANOLE_CHECK_GT(features, 0u, "LayerNorm: features == 0");
-  ANOLE_CHECK_GT(epsilon, 0.0f, "LayerNorm: epsilon must be > 0");
-}
-
-Tensor LayerNorm::forward(const Tensor& input) {
-  ANOLE_CHECK(input.rank() == 2 && input.cols() == features_,
-              "LayerNorm::forward: expected [batch, ", features_, "], got ",
-              shape_to_string(input.shape()));
-  const std::size_t batch = input.rows();
-  Tensor out = input;
-  cached_normalized_ = Tensor::matrix(batch, features_);
-  cached_inv_std_ = Tensor(Shape{batch});
-  for (std::size_t r = 0; r < batch; ++r) {
-    auto row = out.row(r);
-    float m = 0.0f;
-    for (float v : row) m += v;
-    m /= static_cast<float>(features_);
-    float var = 0.0f;
-    for (float v : row) var += (v - m) * (v - m);
-    var /= static_cast<float>(features_);
-    const float inv_std = 1.0f / std::sqrt(var + epsilon_);
-    cached_inv_std_[r] = inv_std;
-    auto norm_row = cached_normalized_.row(r);
-    for (std::size_t c = 0; c < features_; ++c) {
-      norm_row[c] = (row[c] - m) * inv_std;
-      row[c] = norm_row[c] * gain_.value[c] + bias_.value[c];
-    }
-  }
-  return out;
-}
-
-Tensor LayerNorm::infer(const Tensor& input) const {
-  ANOLE_CHECK(input.rank() == 2 && input.cols() == features_,
-              "LayerNorm::infer: expected [batch, ", features_, "], got ",
-              shape_to_string(input.shape()));
-  const std::size_t batch = input.rows();
-  Tensor out = input;
-  for (std::size_t r = 0; r < batch; ++r) {
-    auto row = out.row(r);
-    float m = 0.0f;
-    for (float v : row) m += v;
-    m /= static_cast<float>(features_);
-    float var = 0.0f;
-    for (float v : row) var += (v - m) * (v - m);
-    var /= static_cast<float>(features_);
-    const float inv_std = 1.0f / std::sqrt(var + epsilon_);
-    for (std::size_t c = 0; c < features_; ++c) {
-      row[c] = (row[c] - m) * inv_std * gain_.value[c] + bias_.value[c];
-    }
-  }
-  return out;
-}
-
-Tensor LayerNorm::backward(const Tensor& grad_output) {
-  ANOLE_CHECK(!cached_normalized_.empty(),
-              "LayerNorm::backward before forward");
-  ANOLE_CHECK(grad_output.rank() == 2 && grad_output.cols() == features_ &&
-                  grad_output.rows() == cached_normalized_.rows(),
-              "LayerNorm::backward: grad shape ",
-              shape_to_string(grad_output.shape()), " does not match forward");
-  const std::size_t batch = grad_output.rows();
-  Tensor grad_input = Tensor::matrix(batch, features_);
-  for (std::size_t r = 0; r < batch; ++r) {
-    auto g = grad_output.row(r);
-    auto xhat = cached_normalized_.row(r);
-    const float inv_std = cached_inv_std_[r];
-    // Accumulate parameter grads and the two reduction terms.
-    float sum_gy = 0.0f;
-    float sum_gy_xhat = 0.0f;
-    for (std::size_t c = 0; c < features_; ++c) {
-      const float gy = g[c] * gain_.value[c];
-      gain_.grad[c] += g[c] * xhat[c];
-      bias_.grad[c] += g[c];
-      sum_gy += gy;
-      sum_gy_xhat += gy * xhat[c];
-    }
-    const float inv_n = 1.0f / static_cast<float>(features_);
-    auto gi = grad_input.row(r);
-    for (std::size_t c = 0; c < features_; ++c) {
-      const float gy = g[c] * gain_.value[c];
-      gi[c] = inv_std * (gy - inv_n * sum_gy - xhat[c] * inv_n * sum_gy_xhat);
-    }
-  }
-  return grad_input;
-}
-
-std::vector<Parameter*> LayerNorm::parameters() { return {&gain_, &bias_}; }
 
 }  // namespace anole::nn

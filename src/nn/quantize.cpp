@@ -9,10 +9,6 @@
 namespace anole::nn {
 namespace {
 
-float snap_to_half(float value) {
-  return half_to_float(float_to_half(value));
-}
-
 Tensor snapped_bias(const Tensor& bias) {
   Tensor out = bias;
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = snap_to_half(out[i]);
@@ -36,13 +32,7 @@ QuantizedLinear::QuantizedLinear(QuantizedMatrix weights, Tensor bias)
   weights_.prepare();  // wire data carries no execution copy
 }
 
-Tensor QuantizedLinear::forward(const Tensor& input) {
-  return qgemm(input, weights_, bias_.data());
-}
-
 Tensor QuantizedLinear::infer(const Tensor& input) const {
-  // The layer is stateless at inference; forward() already writes no
-  // caches, so the const path is the same call.
   return qgemm(input, weights_, bias_.data());
 }
 
@@ -89,9 +79,11 @@ std::size_t dequantize_linear_layers(Sequential& net) {
   return converted;
 }
 
-bool is_quantized(Sequential& net) {
+bool is_quantized(const Sequential& net) {
   for (std::size_t i = 0; i < net.size(); ++i) {
-    if (dynamic_cast<QuantizedLinear*>(&net.at(i)) != nullptr) return true;
+    if (dynamic_cast<const QuantizedLinear*>(&net.at(i)) != nullptr) {
+      return true;
+    }
   }
   return false;
 }

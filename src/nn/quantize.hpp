@@ -38,7 +38,6 @@ class QuantizedLinear : public Module {
   /// matrix, `bias` a [out] tensor of fp16-representable values.
   QuantizedLinear(QuantizedMatrix weights, Tensor bias);
 
-  Tensor forward(const Tensor& input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "QuantizedLinear"; }
@@ -47,7 +46,7 @@ class QuantizedLinear : public Module {
   std::uint64_t flops_per_sample() const override;
 
   std::size_t in_features() const { return weights_.depth; }
-  std::size_t out_features() const { return weights_.channels; }
+  std::size_t out_features() const override { return weights_.channels; }
 
   const QuantizedMatrix& quantized_weights() const { return weights_; }
   const Tensor& bias() const { return bias_; }
@@ -74,7 +73,7 @@ std::vector<std::pair<std::size_t, ModulePtr>> quantize_linear_layers(
 std::size_t dequantize_linear_layers(Sequential& net);
 
 /// True when any layer of `net` is a QuantizedLinear.
-bool is_quantized(Sequential& net);
+bool is_quantized(const Sequential& net);
 
 /// The ANOLE_QUANT gate: quantized execution is on unless the environment
 /// sets ANOLE_QUANT=0 (read fresh on every call so tests can toggle it).

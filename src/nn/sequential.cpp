@@ -13,7 +13,6 @@ Sequential& Sequential::add(ModulePtr module) {
 ModulePtr Sequential::replace(std::size_t i, ModulePtr module) {
   ANOLE_CHECK_LT(i, modules_.size(), "Sequential::replace: index out of range");
   ANOLE_CHECK_NOTNULL(module, "Sequential::replace: null module");
-  module->set_training(training());
   std::swap(modules_[i], module);
   return module;
 }
@@ -46,19 +45,20 @@ std::vector<Parameter*> Sequential::parameters() {
   return params;
 }
 
-void Sequential::set_training(bool training) {
-  Module::set_training(training);
-  for (auto& module : modules_) module->set_training(training);
-}
-
 std::uint64_t Sequential::flops_per_sample() const {
+  // Elementwise layers are charged per element of the width flowing into
+  // them: the output width of the nearest preceding layer that sets one.
   std::uint64_t total = 0;
-  for (const auto& module : modules_) total += module->flops_per_sample();
+  std::uint64_t width = 0;
+  for (const auto& module : modules_) {
+    total += module->flops_per_sample() + module->flops_per_element() * width;
+    if (module->out_features() != 0) width = module->out_features();
+  }
   return total;
 }
 
 std::unique_ptr<Sequential> make_mlp(const std::vector<std::size_t>& widths,
-                                     Rng& rng, float dropout_rate) {
+                                     Rng& rng) {
   ANOLE_CHECK_GE(widths.size(), 2u,
                  "make_mlp: need at least input and output widths");
   for (std::size_t width : widths) {
@@ -67,13 +67,7 @@ std::unique_ptr<Sequential> make_mlp(const std::vector<std::size_t>& widths,
   auto net = std::make_unique<Sequential>();
   for (std::size_t i = 0; i + 1 < widths.size(); ++i) {
     net->emplace<Linear>(widths[i], widths[i + 1], rng);
-    const bool is_last = i + 2 == widths.size();
-    if (!is_last) {
-      net->emplace<ReLU>();
-      if (dropout_rate > 0.0f) {
-        net->emplace<Dropout>(dropout_rate, rng());
-      }
-    }
+    if (i + 2 < widths.size()) net->emplace<ReLU>();
   }
   return net;
 }

@@ -26,12 +26,12 @@ class Sequential : public Module {
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
-  void set_training(bool training) override;
   std::string name() const override { return "Sequential"; }
   std::uint64_t flops_per_sample() const override;
 
   std::size_t size() const { return modules_.size(); }
   Module& at(std::size_t i) { return *modules_.at(i); }
+  const Module& at(std::size_t i) const { return *modules_.at(i); }
 
   /// Swaps the module at position `i` for `module` and returns the old
   /// one. Used by the post-training quantization pass (nn/quantize.hpp)
@@ -46,6 +46,6 @@ class Sequential : public Module {
 /// Builds [Linear -> ReLU]* -> Linear over the given layer widths.
 /// `widths` must have at least two entries (input and output width).
 std::unique_ptr<Sequential> make_mlp(const std::vector<std::size_t>& widths,
-                                     Rng& rng, float dropout_rate = 0.0f);
+                                     Rng& rng);
 
 }  // namespace anole::nn

@@ -7,6 +7,7 @@
 
 #include "nn/quantize.hpp"
 #include "tensor/qgemm.hpp"
+#include "util/check.hpp"
 
 namespace anole::nn {
 namespace {
@@ -25,6 +26,24 @@ void write_fp16_span(std::ostream& out, std::span<const float> values) {
 
 void read_fp16_span(std::istream& in, std::span<float> values) {
   for (float& v : values) v = half_to_float(read_pod<std::uint16_t>(in));
+}
+
+/// ANOLEWTS header: magic, version, parameter count.
+constexpr std::uint64_t kBlobHeaderBytes =
+    kMagic.size() + sizeof(kVersion) + sizeof(std::uint32_t);
+
+/// One parameter's ANOLEWTS record: rank, dims, fp32 values.
+std::uint64_t blob_record_bytes(const Tensor& value) {
+  return sizeof(std::uint32_t) +
+         value.shape().size() * sizeof(std::uint64_t) +
+         value.size() * sizeof(float);
+}
+
+/// Contract: the precision-tagged format walks Linear/QuantizedLinear
+/// positions only, so no other layer may carry weights.
+void check_untagged_layer(Module& module, const char* caller) {
+  ANOLE_CHECK(module.parameters().empty(), caller, ": layer ", module.name(),
+              " has parameters but no wire precision tag");
 }
 
 }  // namespace
@@ -96,13 +115,8 @@ void load_parameters_from_file(Module& module, const std::string& path) {
 }
 
 std::uint64_t serialized_size_bytes(Module& module) {
-  std::uint64_t bytes = kMagic.size() + sizeof(kVersion) +
-                        sizeof(std::uint32_t);
-  for (Parameter* p : module.parameters()) {
-    bytes += sizeof(std::uint32_t);
-    bytes += p->value.shape().size() * sizeof(std::uint64_t);
-    bytes += p->value.size() * sizeof(float);
-  }
+  std::uint64_t bytes = kBlobHeaderBytes;
+  for (Parameter* p : module.parameters()) bytes += blob_record_bytes(p->value);
   return bytes;
 }
 
@@ -125,12 +139,7 @@ void save_network(Sequential& net, std::ostream& out) {
       write_fp16_span(out, quantized->bias().data());
       continue;
     }
-    // Any other parameterized layer (e.g. LayerNorm): raw fp32 values in
-    // declaration order, no tag — the reader walks the same architecture.
-    for (Parameter* p : module.parameters()) {
-      const auto data = p->value.data();
-      write_bytes(out, data.data(), data.size() * sizeof(float));
-    }
+    check_untagged_layer(module, "save_network");
   }
   if (!out) throw std::runtime_error("save_network: write failed");
 }
@@ -167,41 +176,43 @@ void load_network(Sequential& net, std::istream& in) {
       throw std::runtime_error(
           "load_network: target network is already quantized");
     }
-    for (Parameter* p : module.parameters()) {
-      auto data = p->value.data();
-      read_bytes(in, data.data(), data.size() * sizeof(float));
-    }
+    check_untagged_layer(module, "load_network");
   }
 }
 
-std::uint64_t network_wire_bytes(Sequential& net) {
+std::uint64_t network_wire_bytes(const Sequential& net) {
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < net.size(); ++i) {
-    Module& module = net.at(i);
-    if (auto* linear = dynamic_cast<Linear*>(&module)) {
+    const Module& module = net.at(i);
+    if (auto* linear = dynamic_cast<const Linear*>(&module)) {
       bytes += sizeof(std::uint8_t);
       bytes += (linear->weight().value.size() + linear->bias().value.size()) *
                sizeof(float);
       continue;
     }
-    if (auto* quantized = dynamic_cast<QuantizedLinear*>(&module)) {
+    if (auto* quantized = dynamic_cast<const QuantizedLinear*>(&module)) {
       bytes += sizeof(std::uint8_t);
       bytes += quantized->quantized_weights().data.size();
       bytes += quantized->quantized_weights().scales.size() *
                sizeof(std::uint16_t);
       bytes += quantized->bias().size() * sizeof(std::uint16_t);
-      continue;
-    }
-    for (Parameter* p : module.parameters()) {
-      bytes += p->value.size() * sizeof(float);
     }
   }
   return bytes;
 }
 
-std::uint64_t streamed_weight_bytes(Sequential& net) {
-  return is_quantized(net) ? network_wire_bytes(net)
-                           : serialized_size_bytes(net);
+std::uint64_t streamed_weight_bytes(const Sequential& net) {
+  if (is_quantized(net)) return network_wire_bytes(net);
+  // fp32: the ANOLEWTS blob save_parameters writes (serialized_size_bytes
+  // of the same network, walked through the const layers).
+  std::uint64_t bytes = kBlobHeaderBytes;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    if (auto* linear = dynamic_cast<const Linear*>(&net.at(i))) {
+      bytes += blob_record_bytes(linear->weight().value) +
+               blob_record_bytes(linear->bias().value);
+    }
+  }
+  return bytes;
 }
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {

@@ -84,7 +84,9 @@ void load_parameters_from_file(Module& module, const std::string& path);
 std::uint64_t serialized_size_bytes(Module& module);
 
 /// Writes `net` in the compact precision-tagged format (artifact v3).
-/// Quantized layers cost ~4x fewer bytes than their fp32 form.
+/// Quantized layers cost ~4x fewer bytes than their fp32 form. Only
+/// Linear and QuantizedLinear carry weights on the wire; any other layer
+/// with parameters is a contract violation.
 void save_network(Sequential& net, std::ostream& out);
 
 /// Loads a precision-tagged network into `net`, which must have the same
@@ -95,13 +97,13 @@ void load_network(Sequential& net, std::istream& in);
 
 /// Size in bytes save_network would emit. For an all-fp32 network this is
 /// intentionally NOT serialized_size_bytes (no per-parameter headers).
-std::uint64_t network_wire_bytes(Sequential& net);
+std::uint64_t network_wire_bytes(const Sequential& net);
 
 /// Bytes the network costs when streamed to a device: the ANOLEWTS blob
 /// size for fp32 networks (matching artifact v1/v2 accounting) and the
 /// compact precision-tagged size once any layer is quantized (artifact
 /// v3 accounting).
-std::uint64_t streamed_weight_bytes(Sequential& net);
+std::uint64_t streamed_weight_bytes(const Sequential& net);
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `size` bytes at `data`.
 /// Chain blocks by passing the previous return value as `seed`. Used by

@@ -42,7 +42,6 @@ TrainResult train_classifier(Module& net, const Tensor& inputs,
   double best_val = -1.0;
   std::size_t stale_epochs = 0;
 
-  net.set_training(true);
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     auto order = random_permutation(n, rng);
     double epoch_loss = 0.0;
@@ -68,9 +67,7 @@ TrainResult train_classifier(Module& net, const Tensor& inputs,
     result.epochs_run = epoch + 1;
 
     if (has_val) {
-      net.set_training(false);
-      const double val_acc = accuracy(net.forward(val_inputs), val_labels);
-      net.set_training(true);
+      const double val_acc = accuracy(net.infer(val_inputs), val_labels);
       if (val_acc > best_val) {
         best_val = val_acc;
         stale_epochs = 0;
@@ -86,8 +83,7 @@ TrainResult train_classifier(Module& net, const Tensor& inputs,
     }
   }
 
-  net.set_training(false);
-  result.final_train_accuracy = accuracy(net.forward(inputs), labels);
+  result.final_train_accuracy = accuracy(net.infer(inputs), labels);
   result.best_validation_accuracy = best_val < 0.0 ? 0.0 : best_val;
   return result;
 }
@@ -109,7 +105,6 @@ TrainResult train_soft_classifier(Module& net, const Tensor& inputs,
                  config.weight_decay);
   const std::size_t n = inputs.rows();
 
-  net.set_training(true);
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     auto order = random_permutation(n, rng);
     double epoch_loss = 0.0;
@@ -133,11 +128,10 @@ TrainResult train_soft_classifier(Module& net, const Tensor& inputs,
     if (config.verbose) log_info("epoch ", epoch, " loss ", epoch_loss);
   }
 
-  net.set_training(false);
   // Hard accuracy against the argmax of the soft targets, as a sanity
   // signal rather than the training objective.
   std::vector<std::size_t> hard_labels = argmax_rows(soft_targets);
-  result.final_train_accuracy = accuracy(net.forward(inputs), hard_labels);
+  result.final_train_accuracy = accuracy(net.infer(inputs), hard_labels);
   return result;
 }
 

@@ -33,6 +33,9 @@ namespace anole {
 std::uint16_t float_to_half(float value);
 float half_to_float(std::uint16_t half);
 
+/// `value` rounded to the nearest fp16-representable float.
+float snap_to_half(float value);
+
 /// A per-channel symmetrically quantized weight matrix, stored transposed
 /// relative to nn::Linear's [in, out] layout: row c holds output channel
 /// c's `depth` weights contiguously, so the qgemm inner loop is a

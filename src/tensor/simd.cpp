@@ -50,22 +50,6 @@ constexpr std::size_t kKBlock = 64;
 /// segment stays L1-resident while a chunk's rows stream through it.
 constexpr std::size_t kChannelBlock = 64;
 
-/// Symmetric int8 code for `value / scale`: round-to-nearest-even (the
-/// default FP environment, matching cvtps2dq in the vector paths),
-/// clamped to [-127, 127]. Mirrors the quantizer in qgemm.cpp — both must
-/// emit identical codes so weight and activation quantization agree.
-std::int32_t quantize_code(float value, float inv_scale) {
-  const float rounded = std::nearbyint(value * inv_scale);
-  return static_cast<std::int32_t>(std::clamp(rounded, -127.0f, 127.0f));
-}
-
-/// Symmetric scale for a row with the given absolute maximum.
-float row_scale_for(float abs_max) {
-  float scale = abs_max > 0.0f ? abs_max / 127.0f : 1.0f;
-  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  return scale;
-}
-
 /// --- level resolution -----------------------------------------------
 
 Level probe_cpu() {

@@ -29,6 +29,8 @@
 //   different ANOLE_SIMD is detected as a trace mismatch.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -73,6 +75,23 @@ void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
 /// The int16 execution layout pads depth to a multiple of this so the
 /// widest (AVX2) dot product has no scalar tail.
 inline constexpr std::size_t kQgemmDepthMultiple = 16;
+
+/// The one int8 rounding rule, shared by every quantizer (weights in
+/// tensor/qgemm.cpp, activation rows at every level in tensor/simd.cpp):
+/// the symmetric code for `value / scale`, round-to-nearest-even (the
+/// default FP environment, matching cvtps2dq in the vector paths),
+/// clamped to [-127, 127].
+inline std::int32_t quantize_code(float value, float inv_scale) {
+  const float rounded = std::nearbyint(value * inv_scale);
+  return static_cast<std::int32_t>(std::clamp(rounded, -127.0f, 127.0f));
+}
+
+/// Symmetric scale for a row with the given absolute maximum.
+inline float row_scale_for(float abs_max) {
+  float scale = abs_max > 0.0f ? abs_max / 127.0f : 1.0f;
+  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
+  return scale;
+}
 
 /// Quantizes one fp32 row into int8 codes stored as padded int16 (the
 /// pmaddwd idiom's input), returning the symmetric row scale. Codes and

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "util/check.hpp"
+#include "util/spec.hpp"
 
 namespace anole::par {
 namespace {
@@ -18,12 +19,13 @@ namespace {
 thread_local bool t_in_task = false;
 
 std::size_t env_or_hardware_threads() {
-  if (const char* env = std::getenv("ANOLE_THREADS")) {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 1) {
-      return static_cast<std::size_t>(value);
-    }
+  // Unset or empty means the default; anything else must parse.
+  const char* env = std::getenv("ANOLE_THREADS");
+  if (env != nullptr && *env != '\0') {
+    const std::uint64_t value =
+        spec::parse_u64(env, "ANOLE_THREADS", "the thread count");
+    ANOLE_CHECK_GE(value, 1u, "ANOLE_THREADS: thread count must be >= 1");
+    return static_cast<std::size_t>(value);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -35,12 +37,10 @@ std::size_t env_or_hardware_threads() {
 constexpr std::size_t kDefaultSerialCutoff = std::size_t{1} << 17;
 
 std::size_t env_serial_cutoff() {
-  if (const char* env = std::getenv("ANOLE_SERIAL_CUTOFF")) {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return static_cast<std::size_t>(value);
-    }
+  const char* env = std::getenv("ANOLE_SERIAL_CUTOFF");
+  if (env != nullptr && *env != '\0') {
+    return static_cast<std::size_t>(
+        spec::parse_u64(env, "ANOLE_SERIAL_CUTOFF", "the serial cutoff"));
   }
   return kDefaultSerialCutoff;
 }

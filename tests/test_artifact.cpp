@@ -92,8 +92,8 @@ TEST_F(ArtifactTest, RoundTripPreservesInference) {
               system_->decision->rank(featurizer.featurize(*frames[i])));
     // Identical detections from every model.
     for (std::size_t m = 0; m < loaded.model_count(); ++m) {
-      const auto a = loaded.repository.detector(m).detect(*frames[i]);
-      const auto b = system_->repository.detector(m).detect(*frames[i]);
+      const auto a = loaded.repository.detector(m).infer(*frames[i]);
+      const auto b = system_->repository.detector(m).infer(*frames[i]);
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t d = 0; d < a.size(); ++d) {
         EXPECT_DOUBLE_EQ(a[d].confidence, b[d].confidence);
@@ -151,6 +151,26 @@ TEST_F(ArtifactTest, LoadedSystemDrivesEngine) {
     EXPECT_NO_THROW((void)engine.process(*frames[i]));
   }
   EXPECT_EQ(engine.frames_processed(), 20u);
+}
+
+TEST_F(ArtifactTest, LoadedSystemReportsTrainedFlops) {
+  // Modelled compute must not shrink across an artifact hop: a loaded
+  // system that has served nothing yet reports the trained system's FLOPs.
+  std::stringstream stream;
+  save_system(*system_, stream);
+  const AnoleSystem loaded = load_system(stream);
+  for (std::size_t m = 0; m < loaded.model_count(); ++m) {
+    EXPECT_EQ(loaded.repository.detector(m).flops_per_frame(),
+              system_->repository.detector(m).flops_per_frame())
+        << "model " << m;
+  }
+  EXPECT_EQ(loaded.decision->flops_per_sample(),
+            system_->decision->flops_per_sample());
+  // The frame path serves a const system and leaves the figures alone.
+  AnoleEngine engine(loaded, CacheConfig{});
+  (void)engine.process(*world_->frames_with_role(world::SplitRole::kTest)[0]);
+  EXPECT_EQ(loaded.decision->flops_per_sample(),
+            system_->decision->flops_per_sample());
 }
 
 TEST_F(ArtifactTest, ConfidenceFloorRoutesToFallback) {
@@ -467,8 +487,8 @@ TEST_F(ArtifactTest, V3QuantizedRoundTripBitIdentical) {
     EXPECT_EQ(loaded.decision->rank(featurizer.featurize(*frames[i])),
               quantized.decision->rank(featurizer.featurize(*frames[i])));
     for (std::size_t m = 0; m < loaded.model_count(); ++m) {
-      const auto a = loaded.repository.detector(m).detect(*frames[i]);
-      const auto b = quantized.repository.detector(m).detect(*frames[i]);
+      const auto a = loaded.repository.detector(m).infer(*frames[i]);
+      const auto b = quantized.repository.detector(m).infer(*frames[i]);
       ASSERT_EQ(a.size(), b.size()) << "model " << m << " frame " << i;
       for (std::size_t d = 0; d < a.size(); ++d) {
         EXPECT_DOUBLE_EQ(a[d].confidence, b[d].confidence);

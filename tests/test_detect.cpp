@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "nn/serialize.hpp"
 #include "world/world.hpp"
 
 namespace anole::detect {
@@ -167,7 +170,34 @@ TEST(GridDetector, ConfidenceThresholdControlsOutput) {
   const auto frame =
       generator.render(world::SceneStyle::from_attributes(attrs), attrs, {},
                        rng);
-  EXPECT_TRUE(detector.detect(frame).empty());
+  EXPECT_TRUE(detector.infer(frame).empty());
+}
+
+TEST(GridDetector, FlopsDoNotDependOnCallHistory) {
+  // Activation cost comes from the architecture, so a fresh detector, the
+  // same detector after a training forward(), and a copy loaded from the
+  // wire format all report the trained network's figure.
+  Rng rng(6);
+  const GridDetectorConfig config = GridDetectorConfig::compressed();
+  GridDetector detector(config, rng);
+  const std::uint64_t fresh = detector.flops_per_frame();
+  (void)detector.network().forward(
+      Tensor::matrix(3, GridDetector::input_features()));
+  EXPECT_EQ(detector.flops_per_frame(), fresh);
+  std::stringstream wire;
+  nn::save_network(detector.network(), wire);
+  Rng other(7);
+  GridDetector loaded(config, other);
+  nn::load_network(loaded.network(), wire);
+  EXPECT_EQ(loaded.flops_per_frame(), fresh);
+  // Linear + ReLU(hidden) + Linear per cell.
+  const std::uint64_t in = GridDetector::input_features();
+  const std::uint64_t hidden = config.hidden.front();
+  const std::uint64_t out = GridDetector::kOutputsPerCell;
+  const std::uint64_t cells = world::kDefaultGridSize * world::kDefaultGridSize;
+  const std::uint64_t per_cell =
+      (2 * in * hidden + hidden) + hidden + (2 * hidden * out + out);
+  EXPECT_EQ(fresh, cells * per_cell);
 }
 
 TEST(DetectorTrainConfig, EffectiveEpochsScaling) {

@@ -91,7 +91,7 @@ TEST_P(OptimizerFitTest, FitsXorLikeProblem) {
   Rng rng(71);
   Sequential net;
   net.emplace<Linear>(2, 16, rng);
-  net.emplace<Tanh>();
+  net.emplace<Sigmoid>();
   net.emplace<Linear>(16, 2, rng);
 
   // XOR-ish dataset.

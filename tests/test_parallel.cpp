@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -232,6 +234,30 @@ TEST(ThreadCount, SetAndRestore) {
   EXPECT_EQ(par::thread_count(), 1u);
   par::set_thread_count(0);
   EXPECT_GE(par::thread_count(), 1u);
+}
+
+TEST(ThreadCount, MalformedEnvFailsLoudly) {
+  ThreadCountGuard guard;
+  // Declared after the guard so the environment is restored before the
+  // guard re-reads it.
+  struct EnvRestore {
+    const char* saved = std::getenv("ANOLE_THREADS");
+    std::string value = saved != nullptr ? saved : "";
+    ~EnvRestore() {
+      if (saved != nullptr) {
+        setenv("ANOLE_THREADS", value.c_str(), 1);
+      } else {
+        unsetenv("ANOLE_THREADS");
+      }
+    }
+  } restore;
+  for (const char* bad : {"4x", "0", "-2", "1e2"}) {
+    setenv("ANOLE_THREADS", bad, 1);
+    EXPECT_THROW(par::set_thread_count(0), std::invalid_argument) << bad;
+  }
+  setenv("ANOLE_THREADS", "2", 1);
+  par::set_thread_count(0);
+  EXPECT_EQ(par::thread_count(), 2u);
 }
 
 TEST(TensorUninitialized, HasShapeAndAcceptsWrites) {
