@@ -2,7 +2,9 @@
 //
 // Default mode runs a deterministic timing suite over the parallel +
 // SIMD execution layers — matmul GFLOP/s, int8 qgemm vs fp32 matmul at
-// a detector layer shape, k-means wall time, OSP end-to-end wall time,
+// a detector layer shape, the int8 row quantizer and dot kernel timed
+// apart at both detector layer shapes and every dispatch level, k-means
+// wall time, OSP end-to-end wall time,
 // and engine batch throughput. Every kernel is timed against a pinned
 // scalar 1-thread reference (the headline "speedup" is active dispatch
 // level at 4 pool threads vs that reference) and at 1/2/4 pool threads
@@ -30,6 +32,7 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "cluster/kmeans.hpp"
@@ -235,6 +238,96 @@ GemmSample time_qgemm(std::size_t m, std::size_t k, std::size_t n, int reps,
   sample.int8_us = best_int8 / iters * 1e6;
   sample.int8_product = qgemm(x, q);
   return sample;
+}
+
+/// The two halves of one int8 detector layer, timed apart at one forced
+/// dispatch level on the calling thread: quantizing all `m` activation
+/// rows, then the pair-interleaved dot kernel with fused dequant + bias
+/// over them. Microseconds per layer call (best of `reps` batches of
+/// `iters` calls), plus the kernel output for the cross-level check.
+struct LayerKernelSample {
+  double quantize_us = 0.0;
+  double dot_us = 0.0;
+  std::vector<float> output;
+};
+
+LayerKernelSample time_layer_kernels(simd::Level level, std::size_t m,
+                                     std::size_t k, std::size_t n, int reps,
+                                     int iters) {
+  Rng rng(25);
+  Tensor x = Tensor::matrix(m, k);
+  Tensor w = Tensor::matrix(k, n);
+  for (auto& v : x.data()) v = static_cast<float>(rng.normal());
+  for (auto& v : w.data()) v = static_cast<float>(rng.normal());
+  std::vector<float> bias(n);
+  for (auto& v : bias) v = static_cast<float>(rng.normal());
+  const QuantizedMatrix q = quantize_weights(w);
+  const std::size_t kp = (k + simd::kQgemmDepthMultiple - 1) /
+                         simd::kQgemmDepthMultiple *
+                         simd::kQgemmDepthMultiple;
+  std::vector<std::int16_t> xq(m * kp);
+  std::vector<float> xscale(m);
+  LayerKernelSample sample;
+  sample.output.resize(m * n);
+  double best_quantize = 1e30;
+  double best_dot = 1e30;
+  for (int r = 0; r < reps; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    for (int it = 0; it < iters; ++it) {
+      for (std::size_t i = 0; i < m; ++i) {
+        xscale[i] =
+            simd::quantize_row_int16(level, x.row(i), xq.data() + i * kp, kp);
+      }
+      benchmark::DoNotOptimize(xq.data());
+      benchmark::ClobberMemory();
+    }
+    best_quantize = std::min(best_quantize, seconds_since(start));
+    start = std::chrono::steady_clock::now();
+    for (int it = 0; it < iters; ++it) {
+      simd::qgemm_rows(level, 0, m, n, q.depth_pairs, q.channel_stride,
+                       xq.data(), kp, xscale.data(), q.interleaved.data(),
+                       q.scales.data(), bias.data(), sample.output.data());
+      benchmark::DoNotOptimize(sample.output.data());
+      benchmark::ClobberMemory();
+    }
+    best_dot = std::min(best_dot, seconds_since(start));
+  }
+  sample.quantize_us = best_quantize / iters * 1e6;
+  sample.dot_us = best_dot / iters * 1e6;
+  return sample;
+}
+
+/// Both detector layer shapes at every level this host runs.
+struct DetectorLayerSet {
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  static constexpr Shape kShapes[2] = {{144, 42, 16}, {144, 16, 5}};
+  std::vector<simd::Level> levels;
+  /// samples[shape][level index]
+  std::vector<LayerKernelSample> samples[2];
+  bool identical_across_levels = true;
+};
+
+DetectorLayerSet time_detector_layers() {
+  DetectorLayerSet set;
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kSSE2, simd::Level::kAVX2}) {
+    if (level <= simd::detected_level()) set.levels.push_back(level);
+  }
+  for (std::size_t s = 0; s < 2; ++s) {
+    const auto& shape = DetectorLayerSet::kShapes[s];
+    for (const simd::Level level : set.levels) {
+      set.samples[s].push_back(
+          time_layer_kernels(level, shape.m, shape.k, shape.n, 7, 400));
+      const auto& output = set.samples[s].back().output;
+      set.identical_across_levels =
+          set.identical_across_levels &&
+          std::memcmp(output.data(), set.samples[s].front().output.data(),
+                      output.size() * sizeof(float)) == 0;
+    }
+  }
+  return set;
 }
 
 /// Quantize/dequantize pass wall time plus fp32-v2 vs quantized-v3
@@ -454,6 +547,10 @@ int run_json_suite() {
   /// path serves most often.
   constexpr std::size_t kQgemmM = 144, kQgemmK = 42, kQgemmN = 16;
 
+  // The detector layers' row quantizer and dot kernel, apart, per level.
+  std::fprintf(stderr, "[bench_micro] detector layer kernels per level...\n");
+  const DetectorLayerSet layers = time_detector_layers();
+
   // Scalar serial reference: the denominator of every headline speedup.
   simd::set_level(simd::Level::kScalar);
   par::set_thread_count(1);
@@ -585,6 +682,23 @@ int run_json_suite() {
   std::fprintf(out, "      \"int8_us_4t\": %.4f\n", active_4t.qgemm.int8_us);
   std::fprintf(out, "    }\n");
   std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"detector_layer_kernels\": {\n");
+  for (std::size_t s = 0; s < 2; ++s) {
+    const auto& shape = DetectorLayerSet::kShapes[s];
+    std::fprintf(out, "    \"%zux%zux%zu\": {\n", shape.m, shape.k, shape.n);
+    for (std::size_t l = 0; l < layers.levels.size(); ++l) {
+      std::fprintf(out,
+                   "      \"%s\": {\"quantize_rows_us\": %.4f, "
+                   "\"dot_kernel_us\": %.4f},\n",
+                   simd::level_name(layers.levels[l]),
+                   layers.samples[s][l].quantize_us,
+                   layers.samples[s][l].dot_us);
+    }
+    std::fprintf(out, "      \"identical_across_levels\": %s\n",
+                 layers.identical_across_levels ? "true" : "false");
+    std::fprintf(out, "    }%s\n", s == 0 ? "," : "");
+  }
+  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"quantize_pass\": {\n");
   std::fprintf(out, "    \"quantize_seconds\": %.6f,\n",
                quant.quantize_seconds);
@@ -654,7 +768,8 @@ int run_json_suite() {
   const bool all_identical = matmul_identical && qgemm_identical &&
                              kmeans_identical && osp_identical &&
                              engine_identical && qgemm_level_identical &&
-                             kmeans_level_identical;
+                             kmeans_level_identical &&
+                             layers.identical_across_levels;
   // A parallel kernel must never lose to its own 1-thread run (the
   // pre-overhaul k-means did): 10% tolerance absorbs timer noise.
   const bool no_thread_regression =

@@ -139,8 +139,13 @@ int main() {
                                 .detector(result.served_model)
                                 .flops_per_frame();
       cost.loaded_weight_mb = result.model_loaded ? weight_mb : 0.0;
+      // A pinned-fallback load can succeed with zero attempts, so guard
+      // the subtraction instead of letting size_t wrap.
+      const std::size_t successful = result.model_loaded ? 1 : 0;
       const std::size_t failed_attempts =
-          result.health.load_attempts - (result.model_loaded ? 1 : 0);
+          result.health.load_attempts > successful
+              ? result.health.load_attempts - successful
+              : 0;
       cost.retried_weight_mb =
           static_cast<double>(failed_attempts) * weight_mb;
       cost.deadline_ms = kDeadlineMs;

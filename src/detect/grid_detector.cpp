@@ -5,38 +5,14 @@
 
 #include "nn/serialize.hpp"
 #include "util/check.hpp"
+#include "world/featurizer.hpp"
 #include "world/scene_style.hpp"
 
 namespace anole::detect {
 namespace {
 
 /// Context descriptor width: per-channel mean and stddev of the frame.
-constexpr std::size_t kContextFeatures = 2 * world::kCellChannels;
-
-void write_context(const world::Frame& frame, std::span<float> out) {
-  const std::size_t cells = frame.cell_count();
-  const float* cp = frame.cells.data().data();
-  // One row-major sweep instead of a strided column walk per channel;
-  // each channel still accumulates in ascending cell order, so the sums
-  // (and the context features) are bitwise unchanged.
-  double sum[world::kCellChannels] = {};
-  double sum_sq[world::kCellChannels] = {};
-  for (std::size_t i = 0; i < cells; ++i) {
-    const float* cell = cp + i * world::kCellChannels;
-    for (std::size_t c = 0; c < world::kCellChannels; ++c) {
-      const float v = cell[c];
-      sum[c] += v;
-      sum_sq[c] += static_cast<double>(v) * v;
-    }
-  }
-  for (std::size_t c = 0; c < world::kCellChannels; ++c) {
-    const double mean = sum[c] / static_cast<double>(cells);
-    const double var =
-        std::max(0.0, sum_sq[c] / static_cast<double>(cells) - mean * mean);
-    out[c] = static_cast<float>(mean);
-    out[world::kCellChannels + c] = static_cast<float>(std::sqrt(var));
-  }
-}
+constexpr std::size_t kContextFeatures = world::kChannelMomentCount;
 
 }  // namespace
 
@@ -90,8 +66,8 @@ Tensor GridDetector::build_inputs(const world::Frame& frame) {
   // is written below, so the zero-fill is skipped too.
   const std::size_t features = input_features();
   Tensor inputs = Tensor::uninitialized(Shape{cells, features});
-  std::vector<float> context(kContextFeatures);
-  write_context(frame, context);
+  float context[kContextFeatures];
+  world::write_channel_moments(frame, context);
   float* const ip = inputs.data().data();
   const float* const cp = frame.cells.data().data();
   for (std::size_t y = 0; y < g; ++y) {
@@ -100,7 +76,8 @@ Tensor GridDetector::build_inputs(const world::Frame& frame) {
       float* row = ip + i * features;
       const float* cell = cp + i * world::kCellChannels;
       std::copy(cell, cell + world::kCellChannels, row);
-      std::copy(context.begin(), context.end(), row + world::kCellChannels);
+      std::copy(context, context + kContextFeatures,
+                row + world::kCellChannels);
       row[world::kCellChannels + kContextFeatures] =
           static_cast<float>(x) / static_cast<float>(g);
       row[world::kCellChannels + kContextFeatures + 1] =

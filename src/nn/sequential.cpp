@@ -24,8 +24,12 @@ Tensor Sequential::forward(const Tensor& input) {
 }
 
 Tensor Sequential::infer(const Tensor& input) const {
-  Tensor current = input;
-  for (const auto& module : modules_) current = module->infer(current);
+  // The first layer reads the caller's tensor directly: no input copy.
+  if (modules_.empty()) return input;
+  Tensor current = modules_.front()->infer(input);
+  for (std::size_t i = 1; i < modules_.size(); ++i) {
+    current = modules_[i]->infer(current);
+  }
   return current;
 }
 

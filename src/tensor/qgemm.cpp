@@ -19,20 +19,29 @@ constexpr std::size_t kRowGrain = 16;
 /// network in this codebase has depth < 100, so this is pure headroom.
 constexpr std::size_t kMaxDepth = std::size_t{1} << 17;
 
-std::size_t pad_depth(std::size_t depth) {
-  return (depth + simd::kQgemmDepthMultiple - 1) / simd::kQgemmDepthMultiple *
-         simd::kQgemmDepthMultiple;
+std::size_t round_up(std::size_t value, std::size_t multiple) {
+  return (value + multiple - 1) / multiple * multiple;
+}
+
+std::size_t depth_pairs_for(std::size_t depth) { return (depth + 1) / 2; }
+
+std::size_t channel_stride_for(std::size_t channels) {
+  return round_up(channels, simd::kQgemmChannelMultiple);
 }
 
 }  // namespace
 
 void QuantizedMatrix::prepare() {
-  padded_depth = pad_depth(depth);
-  exec.assign(channels * padded_depth, 0);
+  ANOLE_CHECK_EQ(data.size(), channels * depth,
+                 "QuantizedMatrix::prepare: data size mismatch");
+  depth_pairs = depth_pairs_for(depth);
+  channel_stride = channel_stride_for(channels);
+  interleaved.assign(depth_pairs * channel_stride * 2, 0);
   for (std::size_t c = 0; c < channels; ++c) {
     const std::int8_t* src = data.data() + c * depth;
-    std::int16_t* dst = exec.data() + c * padded_depth;
-    for (std::size_t d = 0; d < depth; ++d) dst[d] = src[d];
+    for (std::size_t d = 0; d < depth; ++d) {
+      interleaved[((d / 2) * channel_stride + c) * 2 + d % 2] = src[d];
+    }
   }
 }
 
@@ -194,11 +203,14 @@ Tensor qgemm(const Tensor& x, const QuantizedMatrix& weights,
               "qgemm: bias size mismatch");
   ANOLE_CHECK_LT(weights.depth, kMaxDepth,
                  "qgemm: depth too large for int32 accumulation");
-  ANOLE_CHECK_EQ(weights.exec.size(),
-                 weights.channels * weights.padded_depth,
-                 "qgemm: QuantizedMatrix::prepare() not called");
+  ANOLE_CHECK(weights.depth_pairs == depth_pairs_for(weights.depth) &&
+                  weights.channel_stride ==
+                      channel_stride_for(weights.channels) &&
+                  weights.interleaved.size() ==
+                      weights.depth_pairs * weights.channel_stride * 2,
+              "qgemm: QuantizedMatrix::prepare() not called");
   const std::size_t m = x.rows();
-  const std::size_t kp = weights.padded_depth;
+  const std::size_t kp = round_up(weights.depth, simd::kQgemmDepthMultiple);
   const std::size_t n = weights.channels;
   Tensor y = Tensor::uninitialized(Shape{m, n});
   if (m == 0 || n == 0) return y;
@@ -206,10 +218,10 @@ Tensor qgemm(const Tensor& x, const QuantizedMatrix& weights,
   // One parallel pass: each chunk quantizes its own activation rows into
   // the padded int16 layout (rows are disjoint, so any thread
   // decomposition yields identical codes), then runs the dispatched
-  // blocked dot kernel (tensor/simd.cpp) with fused dequant (+ bias) over
-  // them while they are still L1-hot. The int32 accumulation is exact, so
-  // the result is independent of blocking, unrolling, thread count, and
-  // dispatch level by construction.
+  // pair-interleaved kernel (tensor/simd.cpp) with fused dequant (+ bias)
+  // over them while they are still L1-hot. The int32 accumulation is
+  // exact, so the result is independent of blocking, unrolling, thread
+  // count, and dispatch level by construction.
   // for_overwrite: every slot (including depth padding) is written by
   // simd::quantize_row_int16 before the kernel reads it, so value-
   // initializing ~m*kp*2 bytes here would be pure memset overhead.
@@ -226,8 +238,9 @@ Tensor qgemm(const Tensor& x, const QuantizedMatrix& weights,
           sbase[i] =
               simd::quantize_row_int16(level, x.row(i), qbase + i * kp, kp);
         }
-        simd::qgemm_rows(level, ilo, ihi, n, kp, qbase, sbase,
-                         weights.exec.data(), weights.scales.data(),
+        simd::qgemm_rows(level, ilo, ihi, n, weights.depth_pairs,
+                         weights.channel_stride, qbase, kp, sbase,
+                         weights.interleaved.data(), weights.scales.data(),
                          bias.empty() ? nullptr : bias.data(),
                          y.data().data());
       });

@@ -38,16 +38,19 @@ float snap_to_half(float value);
 
 /// A per-channel symmetrically quantized weight matrix, stored transposed
 /// relative to nn::Linear's [in, out] layout: row c holds output channel
-/// c's `depth` weights contiguously, so the qgemm inner loop is a
-/// contiguous dot product.
+/// c's `depth` weights contiguously.
 ///
 /// `data` + `scales` are the wire state (what artifact v3 stores). The
-/// kernel itself runs from `exec`, a derived int16 copy padded to a
-/// multiple of simd::kQgemmDepthMultiple columns: int16 operands feed the
-/// multiply-add-pairs idiom (pmaddwd, 8 MACs per instruction at baseline
-/// SSE2 and 16 at AVX2 — double the fp32 rate), and the zero padding
-/// removes the scalar tail of the widest vectorized dot. Call prepare()
-/// after filling the wire fields; qgemm() requires it.
+/// kernel runs from `interleaved`, a derived int16 copy in the channel-
+/// pair-interleaved layout: for depth pair p (columns 2p and 2p+1) and
+/// channel c, interleaved[(p * channel_stride + c) * 2 + h] = data[c *
+/// depth + 2p + h], with zeros in the odd-depth pad column and in the pad
+/// channels [channels, channel_stride). One pmaddwd of a broadcast
+/// activation pair against a register of these int16 pairs leaves a
+/// whole channel's partial dot in each int32 lane (8 channels per AVX2
+/// instruction, 4 at SSE2), so no horizontal reduction or channel tail
+/// remains. Call prepare() after filling the wire fields; qgemm()
+/// requires it.
 struct QuantizedMatrix {
   std::size_t channels = 0;  ///< output channels (rows of `data`)
   std::size_t depth = 0;     ///< reduction length (columns of `data`)
@@ -57,14 +60,17 @@ struct QuantizedMatrix {
   /// in fp16 (snapped at quantization time).
   std::vector<float> scales;
 
-  /// Derived, never serialized: [channels, padded_depth] int16 copy of
-  /// `data` with zero-filled padding columns.
-  std::size_t padded_depth = 0;
-  std::vector<std::int16_t> exec;
+  /// Derived, never serialized: ceil(depth / 2) depth pairs, `channels`
+  /// rounded up to simd::kQgemmChannelMultiple, and the
+  /// [depth_pairs, channel_stride, 2] int16 layout described above.
+  std::size_t depth_pairs = 0;
+  std::size_t channel_stride = 0;
+  std::vector<std::int16_t> interleaved;
 
   std::size_t size() const { return data.size(); }
 
-  /// Rebuilds `exec`/`padded_depth` from the wire fields. Idempotent.
+  /// Rebuilds the derived layout from the wire fields, which it leaves
+  /// unchanged. Idempotent.
   void prepare();
 };
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 
 #if defined(__SSE2__)
@@ -18,12 +19,26 @@
 
 // GCC honors per-function optimize attributes; the scalar kernels use
 // them to suppress autovectorization so the "scalar" level is a genuine
-// one-lane reference (Release -O3 would otherwise re-vectorize it).
+// one-lane reference (Release -O3 would otherwise re-vectorize it), and
+// to keep every multiply and add separately rounded even in a build for
+// an FMA-capable target. One attribute carries all options: GCC does not
+// reliably merge two optimize attributes on one function.
+//
+// ANOLE_NO_CONTRACT marks the vector qgemm kernels (and the AVX2 k-means
+// distance kernel, whose mul + add it fused too). GCC contracts a
+// separate multiply and add into one FMA by default (-ffp-contract=fast)
+// wherever the target has FMA — always inside the avx2,fma-targeted
+// kernels, intrinsics included. A fused dequant `float(acc) * scale +
+// bias` skips the product's rounding and stops matching the scalar level
+// bit for bit, so contraction is switched off on those kernels.
 #if defined(__GNUC__) && !defined(__clang__)
-#define ANOLE_NO_AUTOVEC \
-  __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
+#define ANOLE_NO_AUTOVEC                                             \
+  __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize", \
+                          "fp-contract=off")))
+#define ANOLE_NO_CONTRACT __attribute__((optimize("fp-contract=off")))
 #else
 #define ANOLE_NO_AUTOVEC
+#define ANOLE_NO_CONTRACT
 #endif
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
@@ -45,9 +60,9 @@ namespace {
 constexpr std::size_t kJBlock = 256;
 constexpr std::size_t kKBlock = 64;
 
-/// Output channels per qgemm cache block (matches the historical qgemm
-/// kernel): a 64-channel panel of int16 weights plus the matching output
-/// segment stays L1-resident while a chunk's rows stream through it.
+/// Output channels per block of the scalar qgemm kernel: one int32
+/// accumulator per channel on the stack while a row's depth pairs stream
+/// through.
 constexpr std::size_t kChannelBlock = 64;
 
 /// --- level resolution -----------------------------------------------
@@ -177,6 +192,12 @@ alignas(32) constexpr std::int32_t kTailMask[16] = {-1, -1, -1, -1, -1, -1,
                                                    -1, -1, 0,  0,  0,  0,
                                                    0,  0,  0,  0};
 
+/// The mask enabling the first `lanes` (0..8) lanes.
+ANOLE_TARGET_AVX2 inline __m256i lane_mask(std::size_t lanes) {
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTailMask + (8 - lanes)));
+}
+
 /// Narrow-output kernel: the whole C row lives in `kVecs` register
 /// accumulators across the k loop instead of a load/store round trip per
 /// k (the blocked path below is store-forwarding-bound at the skinny
@@ -236,8 +257,7 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
                     std::size_t acs, const float* pb, float* pc) {
   if (n > 0 && n <= 64) {
     const std::size_t tail = n % 8;
-    const __m256i last_mask = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-        kTailMask + (tail == 0 ? 0 : 8 - tail)));
+    const __m256i last_mask = lane_mask(tail == 0 ? 8 : tail);
     // Row-group widths keep every live accumulator (kRows * kVecs), the
     // shared B vectors, and the broadcast register inside the 16 ymm
     // registers; wider outputs drop to fewer rows per group.
@@ -280,8 +300,7 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
     const std::size_t jhi = std::min(n, jb + kJBlock);
     const std::size_t tail = (jhi - jb) % 8;
     const std::size_t jvec = jhi - tail;
-    const __m256i tail_mask = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(kTailMask + (8 - tail)));
+    const __m256i tail_mask = lane_mask(tail);
     for (std::size_t kb = 0; kb < k; kb += kKBlock) {
       const std::size_t khi = std::min(k, kb + kKBlock);
       for (std::size_t i = ilo; i < ihi; ++i) {
@@ -316,6 +335,12 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
 #endif  // ANOLE_HAVE_AVX2_TARGET
 
 /// --- activation quantization ----------------------------------------
+//
+// Every level computes the same codes and scale (quantize_code and
+// row_scale_for in simd.hpp). Vector max/min return their second operand
+// when either is NaN, and the operand order carries the NaN rule: the
+// running maximum goes second, so NaN elements are left out of it, and
+// the clamp's max(x, -127) sends NaN to -127; +-Inf saturate.
 
 ANOLE_NO_AUTOVEC
 float quantize_row_int16_scalar(std::span<const float> src, std::int16_t* dst,
@@ -323,6 +348,7 @@ float quantize_row_int16_scalar(std::span<const float> src, std::int16_t* dst,
   const std::size_t n = src.size();
   float abs_max = 0.0f;
   for (std::size_t i = 0; i < n; ++i) {
+    // std::max keeps its first argument when the second is NaN.
     abs_max = std::max(abs_max, std::fabs(src[i]));
   }
   const float scale = row_scale_for(abs_max);
@@ -335,275 +361,305 @@ float quantize_row_int16_scalar(std::span<const float> src, std::int16_t* dst,
 }
 
 #if defined(__SSE2__)
+/// Codes of 8 floats at `src` as 8 int16 lanes: scale, clamp (NaN to
+/// -127), and cvtps2dq (round-to-nearest-even under the default
+/// MXCSR, matching quantize_code); the saturating pack cannot clip after
+/// the clamp.
+inline __m128i quantize8_sse2(const float* src, __m128 vinv) {
+  const __m128 vlo = _mm_set1_ps(-127.0f);
+  const __m128 vhi = _mm_set1_ps(127.0f);
+  const __m128 a =
+      _mm_min_ps(_mm_max_ps(_mm_mul_ps(_mm_loadu_ps(src), vinv), vlo), vhi);
+  const __m128 b = _mm_min_ps(
+      _mm_max_ps(_mm_mul_ps(_mm_loadu_ps(src + 4), vinv), vlo), vhi);
+  return _mm_packs_epi32(_mm_cvtps_epi32(a), _mm_cvtps_epi32(b));
+}
+
 float quantize_row_int16_sse2(std::span<const float> src, std::int16_t* dst,
                               std::size_t padded) {
   const std::size_t n = src.size();
+  const std::size_t body = n - n % 8;
+  // The row tail runs through the same 8-wide code on a zero-padded stack
+  // copy: zeros leave the maximum alone and quantize to the pad code 0.
+  alignas(16) float tail[8] = {};
+  std::copy(src.data() + body, src.data() + n, tail);
   const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
   __m128 vmax = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vmax = _mm_max_ps(vmax,
-                      _mm_and_ps(_mm_loadu_ps(src.data() + i), abs_mask));
+  for (std::size_t i = 0; i < body; i += 4) {
+    vmax = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(src.data() + i), abs_mask),
+                      vmax);
   }
+  vmax = _mm_max_ps(_mm_and_ps(_mm_load_ps(tail), abs_mask), vmax);
+  vmax = _mm_max_ps(_mm_and_ps(_mm_load_ps(tail + 4), abs_mask), vmax);
   __m128 fold = _mm_max_ps(vmax, _mm_shuffle_ps(vmax, vmax, 0x4E));
   fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0xB1));
-  float abs_max = _mm_cvtss_f32(fold);
-  for (; i < n; ++i) abs_max = std::max(abs_max, std::fabs(src[i]));
-  const float scale = row_scale_for(abs_max);
-  const float inv_scale = 1.0f / scale;
-  const __m128 vinv = _mm_set1_ps(inv_scale);
-  const __m128 vlo = _mm_set1_ps(-127.0f);
-  const __m128 vhi = _mm_set1_ps(127.0f);
-  i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128 a = _mm_min_ps(
-        _mm_max_ps(_mm_mul_ps(_mm_loadu_ps(src.data() + i), vinv), vlo),
-        vhi);
-    const __m128 b = _mm_min_ps(
-        _mm_max_ps(_mm_mul_ps(_mm_loadu_ps(src.data() + i + 4), vinv), vlo),
-        vhi);
-    // cvtps2dq rounds to nearest-even (default MXCSR), matching
-    // quantize_code; the saturating pack cannot clip after the clamp.
-    const __m128i packed =
-        _mm_packs_epi32(_mm_cvtps_epi32(a), _mm_cvtps_epi32(b));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), packed);
+  const float scale = row_scale_for(_mm_cvtss_f32(fold));
+  const __m128 vinv = _mm_set1_ps(1.0f / scale);
+  for (std::size_t i = 0; i < body; i += 8) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     quantize8_sse2(src.data() + i, vinv));
   }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::int16_t>(quantize_code(src[i], inv_scale));
+  std::size_t written = body;
+  if (body < n) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + body),
+                     quantize8_sse2(tail, vinv));
+    written += 8;
   }
-  std::fill(dst + n, dst + padded, std::int16_t{0});
+  std::fill(dst + written, dst + padded, std::int16_t{0});
   return scale;
 }
 #endif  // __SSE2__
 
 #if ANOLE_HAVE_AVX2_TARGET
+/// Codes of two 8-float vectors as 16 int16 lanes in order (see
+/// quantize8_sse2 for the per-lane rule).
+ANOLE_TARGET_AVX2 inline __m256i quantize16_avx2(__m256 a, __m256 b,
+                                                 __m256 vinv) {
+  const __m256 vlo = _mm256_set1_ps(-127.0f);
+  const __m256 vhi = _mm256_set1_ps(127.0f);
+  a = _mm256_min_ps(_mm256_max_ps(_mm256_mul_ps(a, vinv), vlo), vhi);
+  b = _mm256_min_ps(_mm256_max_ps(_mm256_mul_ps(b, vinv), vlo), vhi);
+  // packs works within 128-bit lanes; the permute restores order.
+  return _mm256_permute4x64_epi64(
+      _mm256_packs_epi32(_mm256_cvtps_epi32(a), _mm256_cvtps_epi32(b)), 0xD8);
+}
+
 ANOLE_TARGET_AVX2
 float quantize_row_int16_avx2(std::span<const float> src, std::int16_t* dst,
                               std::size_t padded) {
   const std::size_t n = src.size();
+  const float* s = src.data();
+  // Masked loads read the row tail without touching memory past it;
+  // disabled lanes read as 0, which leaves the maximum alone and
+  // quantizes to the pad code 0.
   const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
   __m256 vmax = _mm256_setzero_ps();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    vmax = _mm256_max_ps(
-        vmax, _mm256_and_ps(_mm256_loadu_ps(src.data() + i), abs_mask));
+    vmax = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(s + i), abs_mask),
+                         vmax);
+  }
+  if (i < n) {
+    const __m256 v = _mm256_maskload_ps(s + i, lane_mask(n - i));
+    vmax = _mm256_max_ps(_mm256_and_ps(v, abs_mask), vmax);
   }
   __m128 fold = _mm_max_ps(_mm256_castps256_ps128(vmax),
                            _mm256_extractf128_ps(vmax, 1));
   fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0x4E));
   fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0xB1));
-  float abs_max = _mm_cvtss_f32(fold);
-  for (; i < n; ++i) abs_max = std::max(abs_max, std::fabs(src[i]));
-  const float scale = row_scale_for(abs_max);
-  const float inv_scale = 1.0f / scale;
-  const __m256 vinv = _mm256_set1_ps(inv_scale);
-  const __m256 vlo = _mm256_set1_ps(-127.0f);
-  const __m256 vhi = _mm256_set1_ps(127.0f);
+  const float scale = row_scale_for(_mm_cvtss_f32(fold));
+  const __m256 vinv = _mm256_set1_ps(1.0f / scale);
   i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m256 a = _mm256_min_ps(
-        _mm256_max_ps(
-            _mm256_mul_ps(_mm256_loadu_ps(src.data() + i), vinv), vlo),
-        vhi);
-    const __m256 b = _mm256_min_ps(
-        _mm256_max_ps(
-            _mm256_mul_ps(_mm256_loadu_ps(src.data() + i + 8), vinv), vlo),
-        vhi);
-    // packs works within 128-bit lanes; the permute restores order.
-    const __m256i packed = _mm256_permute4x64_epi64(
-        _mm256_packs_epi32(_mm256_cvtps_epi32(a), _mm256_cvtps_epi32(b)),
-        0xD8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), packed);
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(dst + i),
+        quantize16_avx2(_mm256_loadu_ps(s + i), _mm256_loadu_ps(s + i + 8),
+                        vinv));
   }
-  for (; i < n; ++i) {
-    dst[i] = static_cast<std::int16_t>(quantize_code(src[i], inv_scale));
+  if (i < n) {
+    // padded is a multiple of 16 above i, so the whole block fits.
+    const std::size_t rest = n - i;
+    const __m256 a =
+        _mm256_maskload_ps(s + i, lane_mask(std::min<std::size_t>(rest, 8)));
+    const __m256 b = _mm256_maskload_ps(
+        s + i + 8, lane_mask(rest > 8 ? rest - 8 : 0));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                        quantize16_avx2(a, b, vinv));
+    i += 16;
   }
-  std::fill(dst + n, dst + padded, std::int16_t{0});
+  std::fill(dst + i, dst + padded, std::int16_t{0});
   return scale;
 }
 #endif  // ANOLE_HAVE_AVX2_TARGET
 
 /// --- int8 GEMM kernels ----------------------------------------------
+//
+// The weights arrive pair-interleaved (tensor/qgemm.hpp): for depth pair
+// p, the int16 pairs (W[j][2p], W[j][2p+1]) of consecutive channels j sit
+// side by side. Broadcasting the activation pair (x[2p], x[2p+1]) as one
+// int32 and multiplying with pmaddwd yields x[2p]*W[j][2p] +
+// x[2p+1]*W[j][2p+1] in int32 lane j, so a register of accumulators holds
+// whole channels: no horizontal reduction and no scalar channel tail (the
+// layout pads channels with zero weights). A block of rows shares every
+// weight load. The int32 sums are exact, so block shapes never change a
+// result; the dequant float(acc) * (row_scale * pscale[j]) + pbias[j] is
+// one multiply, one multiply and one add per lane at every level.
+
+/// Everything a qgemm_rows call shares across its row blocks.
+struct QgemmArgs {
+  std::size_t n;
+  std::size_t pairs;
+  std::size_t channel_stride;
+  const std::int16_t* xq;
+  std::size_t x_stride;
+  const float* xscale;
+  const std::int16_t* pw;
+  const float* pscale;
+  const float* pbias;
+  float* py;
+};
+
+/// The activation pair (x[2p], x[2p+1]) of a row as one int32.
+inline std::int32_t activation_pair(const std::int16_t* xrow, std::size_t p) {
+  std::int32_t pair;
+  std::memcpy(&pair, xrow + 2 * p, sizeof(pair));
+  return pair;
+}
 
 ANOLE_NO_AUTOVEC
-void qgemm_rows_scalar(std::size_t ilo, std::size_t ihi, std::size_t n,
-                       std::size_t kp, const std::int16_t* xq,
-                       const float* xscale, const std::int16_t* pw,
-                       const float* pscale, const float* pbias, float* py) {
-  for (std::size_t jb = 0; jb < n; jb += kChannelBlock) {
-    const std::size_t jhi = std::min(n, jb + kChannelBlock);
+void qgemm_rows_scalar(const QgemmArgs& q, std::size_t ilo, std::size_t ihi) {
+  for (std::size_t jb = 0; jb < q.n; jb += kChannelBlock) {
+    const std::size_t width = std::min(q.n - jb, kChannelBlock);
     for (std::size_t i = ilo; i < ihi; ++i) {
-      const std::int16_t* xrow = xq + i * kp;
-      const float row_scale = xscale[i];
-      float* yrow = py + i * n;
-      std::size_t j = jb;
-      for (; j + 1 < jhi; j += 2) {
-        const std::int16_t* w0 = pw + j * kp;
-        const std::int16_t* w1 = w0 + kp;
-        std::int32_t acc0 = 0;
-        std::int32_t acc1 = 0;
-        for (std::size_t kk = 0; kk < kp; ++kk) {
-          const std::int32_t xv = xrow[kk];
-          acc0 += xv * w0[kk];
-          acc1 += xv * w1[kk];
+      const std::int16_t* xrow = q.xq + i * q.x_stride;
+      std::int32_t acc[kChannelBlock] = {};
+      for (std::size_t p = 0; p < q.pairs; ++p) {
+        const std::int32_t x0 = xrow[2 * p];
+        const std::int32_t x1 = xrow[2 * p + 1];
+        const std::int16_t* w = q.pw + (p * q.channel_stride + jb) * 2;
+        for (std::size_t j = 0; j < width; ++j) {
+          acc[j] += x0 * w[2 * j] + x1 * w[2 * j + 1];
         }
-        const float v0 = static_cast<float>(acc0) * (row_scale * pscale[j]);
-        const float v1 =
-            static_cast<float>(acc1) * (row_scale * pscale[j + 1]);
-        yrow[j] = pbias == nullptr ? v0 : v0 + pbias[j];
-        yrow[j + 1] = pbias == nullptr ? v1 : v1 + pbias[j + 1];
       }
-      for (; j < jhi; ++j) {
-        const std::int16_t* w0 = pw + j * kp;
-        std::int32_t acc = 0;
-        for (std::size_t kk = 0; kk < kp; ++kk) {
-          acc += static_cast<std::int32_t>(xrow[kk]) * w0[kk];
-        }
-        const float value = static_cast<float>(acc) * (row_scale * pscale[j]);
-        yrow[j] = pbias == nullptr ? value : value + pbias[j];
+      const float row_scale = q.xscale[i];
+      float* yrow = q.py + i * q.n + jb;
+      for (std::size_t j = 0; j < width; ++j) {
+        const float value =
+            static_cast<float>(acc[j]) * (row_scale * q.pscale[jb + j]);
+        yrow[j] = q.pbias == nullptr ? value : value + q.pbias[jb + j];
       }
     }
   }
 }
 
 #if defined(__SSE2__)
-void qgemm_rows_sse2(std::size_t ilo, std::size_t ihi, std::size_t n,
-                     std::size_t kp, const std::int16_t* xq,
-                     const float* xscale, const std::int16_t* pw,
-                     const float* pscale, const float* pbias, float* py) {
-  for (std::size_t jb = 0; jb < n; jb += kChannelBlock) {
-    const std::size_t jhi = std::min(n, jb + kChannelBlock);
-    for (std::size_t i = ilo; i < ihi; ++i) {
-      const std::int16_t* xrow = xq + i * kp;
-      const float row_scale = xscale[i];
-      float* yrow = py + i * n;
-      std::size_t j = jb;
-      // Four output channels per iteration: each 128-bit x load feeds
-      // four pmaddwd accumulators, and one unpack tree reduces all four
-      // at once (amortizing the horizontal fold that dominates short-
-      // depth epilogues). The dequant matches the scalar formula exactly:
-      // cvtdq2ps == static_cast<float>(int32), and the scale product
-      // rounds once per lane just like (row_scale * pscale[j]).
-      const __m128 vrs = _mm_set1_ps(row_scale);
-      for (; j + 4 <= jhi; j += 4) {
-        const std::int16_t* w0 = pw + j * kp;
-        const std::int16_t* w1 = w0 + kp;
-        const std::int16_t* w2 = w1 + kp;
-        const std::int16_t* w3 = w2 + kp;
-        __m128i a0 = _mm_setzero_si128();
-        __m128i a1 = _mm_setzero_si128();
-        __m128i a2 = _mm_setzero_si128();
-        __m128i a3 = _mm_setzero_si128();
-        for (std::size_t kk = 0; kk < kp; kk += 8) {
-          const __m128i xv = _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(xrow + kk));
-          a0 = _mm_add_epi32(a0, _mm_madd_epi16(xv, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w0 + kk))));
-          a1 = _mm_add_epi32(a1, _mm_madd_epi16(xv, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w1 + kk))));
-          a2 = _mm_add_epi32(a2, _mm_madd_epi16(xv, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w2 + kk))));
-          a3 = _mm_add_epi32(a3, _mm_madd_epi16(xv, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w3 + kk))));
-        }
-        const __m128i t01 = _mm_add_epi32(_mm_unpacklo_epi32(a0, a1),
-                                          _mm_unpackhi_epi32(a0, a1));
-        const __m128i t23 = _mm_add_epi32(_mm_unpacklo_epi32(a2, a3),
-                                          _mm_unpackhi_epi32(a2, a3));
-        const __m128i sums = _mm_add_epi32(
-            _mm_unpacklo_epi64(t01, t23), _mm_unpackhi_epi64(t01, t23));
-        const __m128 scaled = _mm_mul_ps(
-            _mm_cvtepi32_ps(sums), _mm_mul_ps(vrs, _mm_loadu_ps(pscale + j)));
-        const __m128 out = pbias == nullptr
-            ? scaled
-            : _mm_add_ps(scaled, _mm_loadu_ps(pbias + j));
-        _mm_storeu_ps(yrow + j, out);
-      }
-      for (; j < jhi; ++j) {
-        const std::int16_t* w0 = pw + j * kp;
-        std::int32_t acc = 0;
-        for (std::size_t kk = 0; kk < kp; ++kk) {
-          acc += static_cast<std::int32_t>(xrow[kk]) * w0[kk];
-        }
-        const float value = static_cast<float>(acc) * (row_scale * pscale[j]);
-        yrow[j] = pbias == nullptr ? value : value + pbias[j];
+/// Rows [ilo, ihi) of channels [jb, jb + 8): kRows rows at a time, two
+/// 4-lane accumulators per row.
+template <std::size_t kRows>
+ANOLE_NO_CONTRACT void qgemm_block_sse2(const QgemmArgs& q, std::size_t ilo,
+                                        std::size_t ihi, std::size_t jb) {
+  const std::int16_t* wbase = q.pw + jb * 2;
+  const std::size_t wstep = q.channel_stride * 2;
+  std::size_t i = ilo;
+  for (; i + kRows <= ihi; i += kRows) {
+    __m128i acc[kRows][2];
+    for (std::size_t r = 0; r < kRows; ++r) {
+      acc[r][0] = _mm_setzero_si128();
+      acc[r][1] = _mm_setzero_si128();
+    }
+    const std::int16_t* w = wbase;
+    for (std::size_t p = 0; p < q.pairs; ++p, w += wstep) {
+      const __m128i w0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
+      const __m128i w1 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 8));
+      for (std::size_t r = 0; r < kRows; ++r) {
+        const __m128i xb = _mm_set1_epi32(
+            activation_pair(q.xq + (i + r) * q.x_stride, p));
+        acc[r][0] = _mm_add_epi32(acc[r][0], _mm_madd_epi16(xb, w0));
+        acc[r][1] = _mm_add_epi32(acc[r][1], _mm_madd_epi16(xb, w1));
       }
     }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const float row_scale = q.xscale[i + r];
+      float* yrow = q.py + (i + r) * q.n;
+      for (std::size_t v = 0; v < 2; ++v) {
+        const std::size_t j = jb + 4 * v;
+        if (j >= q.n) break;
+        if (j + 4 <= q.n) {
+          const __m128 scaled = _mm_mul_ps(
+              _mm_cvtepi32_ps(acc[r][v]),
+              _mm_mul_ps(_mm_set1_ps(row_scale), _mm_loadu_ps(q.pscale + j)));
+          _mm_storeu_ps(yrow + j,
+                        q.pbias == nullptr
+                            ? scaled
+                            : _mm_add_ps(scaled, _mm_loadu_ps(q.pbias + j)));
+        } else {
+          // Partial vector: the same three operations per live lane.
+          alignas(16) std::int32_t sums[4];
+          _mm_store_si128(reinterpret_cast<__m128i*>(sums), acc[r][v]);
+          for (std::size_t t = 0; j + t < q.n; ++t) {
+            const float value = static_cast<float>(sums[t]) *
+                                (row_scale * q.pscale[j + t]);
+            yrow[j + t] =
+                q.pbias == nullptr ? value : value + q.pbias[j + t];
+          }
+        }
+      }
+    }
+  }
+  if constexpr (kRows > 1) qgemm_block_sse2<1>(q, i, ihi, jb);
+}
+
+void qgemm_rows_sse2(const QgemmArgs& q, std::size_t ilo, std::size_t ihi) {
+  for (std::size_t jb = 0; jb < q.n; jb += 8) {
+    qgemm_block_sse2<4>(q, ilo, ihi, jb);
   }
 }
 #endif  // __SSE2__
 
 #if ANOLE_HAVE_AVX2_TARGET
-ANOLE_TARGET_AVX2
-void qgemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t n,
-                     std::size_t kp, const std::int16_t* xq,
-                     const float* xscale, const std::int16_t* pw,
-                     const float* pscale, const float* pbias, float* py) {
-  for (std::size_t jb = 0; jb < n; jb += kChannelBlock) {
-    const std::size_t jhi = std::min(n, jb + kChannelBlock);
-    for (std::size_t i = ilo; i < ihi; ++i) {
-      const std::int16_t* xrow = xq + i * kp;
-      const float row_scale = xscale[i];
-      float* yrow = py + i * n;
-      std::size_t j = jb;
-      // 256-bit pmaddwd: 16 int16 MACs per instruction, four channels per
-      // iteration; each accumulator folds to 128 bits and goes through
-      // the same unpack-tree reduction as the SSE2 kernel. int32 sums are
-      // exact, so this is bitwise identical to every other level.
-      const __m128 vrs = _mm_set1_ps(row_scale);
-      for (; j + 4 <= jhi; j += 4) {
-        const std::int16_t* w0 = pw + j * kp;
-        const std::int16_t* w1 = w0 + kp;
-        const std::int16_t* w2 = w1 + kp;
-        const std::int16_t* w3 = w2 + kp;
-        __m256i a0 = _mm256_setzero_si256();
-        __m256i a1 = _mm256_setzero_si256();
-        __m256i a2 = _mm256_setzero_si256();
-        __m256i a3 = _mm256_setzero_si256();
-        for (std::size_t kk = 0; kk < kp; kk += 16) {
-          const __m256i xv = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(xrow + kk));
-          a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(xv, _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(w0 + kk))));
-          a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(xv, _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(w1 + kk))));
-          a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(xv, _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(w2 + kk))));
-          a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(xv, _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(w3 + kk))));
-        }
-        const __m128i f0 = _mm_add_epi32(_mm256_castsi256_si128(a0),
-                                         _mm256_extracti128_si256(a0, 1));
-        const __m128i f1 = _mm_add_epi32(_mm256_castsi256_si128(a1),
-                                         _mm256_extracti128_si256(a1, 1));
-        const __m128i f2 = _mm_add_epi32(_mm256_castsi256_si128(a2),
-                                         _mm256_extracti128_si256(a2, 1));
-        const __m128i f3 = _mm_add_epi32(_mm256_castsi256_si128(a3),
-                                         _mm256_extracti128_si256(a3, 1));
-        const __m128i t01 = _mm_add_epi32(_mm_unpacklo_epi32(f0, f1),
-                                          _mm_unpackhi_epi32(f0, f1));
-        const __m128i t23 = _mm_add_epi32(_mm_unpacklo_epi32(f2, f3),
-                                          _mm_unpackhi_epi32(f2, f3));
-        const __m128i sums = _mm_add_epi32(
-            _mm_unpacklo_epi64(t01, t23), _mm_unpackhi_epi64(t01, t23));
-        const __m128 scaled = _mm_mul_ps(
-            _mm_cvtepi32_ps(sums), _mm_mul_ps(vrs, _mm_loadu_ps(pscale + j)));
-        const __m128 out = pbias == nullptr
-            ? scaled
-            : _mm_add_ps(scaled, _mm_loadu_ps(pbias + j));
-        _mm_storeu_ps(yrow + j, out);
+/// Rows [ilo, ihi) of channels [jb, jb + 8 * kVecs): kRows rows at a
+/// time, kVecs 8-lane accumulators per row (kRows * kVecs + kVecs + 1
+/// live registers). Every lane past channel n is masked off in the
+/// epilogue.
+template <std::size_t kVecs, std::size_t kRows>
+ANOLE_TARGET_AVX2 ANOLE_NO_CONTRACT void qgemm_block_avx2(
+    const QgemmArgs& q, std::size_t ilo, std::size_t ihi, std::size_t jb) {
+  __m256i mask[kVecs];
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    mask[v] = lane_mask(std::min<std::size_t>(q.n - (jb + 8 * v), 8));
+  }
+  const std::int16_t* wbase = q.pw + jb * 2;
+  const std::size_t wstep = q.channel_stride * 2;
+  std::size_t i = ilo;
+  for (; i + kRows <= ihi; i += kRows) {
+    __m256i acc[kRows][kVecs];
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_setzero_si256();
       }
-      for (; j < jhi; ++j) {
-        const std::int16_t* w0 = pw + j * kp;
-        std::int32_t acc = 0;
-        for (std::size_t kk = 0; kk < kp; ++kk) {
-          acc += static_cast<std::int32_t>(xrow[kk]) * w0[kk];
+    }
+    const std::int16_t* w = wbase;
+    for (std::size_t p = 0; p < q.pairs; ++p, w += wstep) {
+      __m256i wv[kVecs];
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        wv[v] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(w + 16 * v));
+      }
+      for (std::size_t r = 0; r < kRows; ++r) {
+        const __m256i xb = _mm256_set1_epi32(
+            activation_pair(q.xq + (i + r) * q.x_stride, p));
+        for (std::size_t v = 0; v < kVecs; ++v) {
+          acc[r][v] =
+              _mm256_add_epi32(acc[r][v], _mm256_madd_epi16(xb, wv[v]));
         }
-        const float value = static_cast<float>(acc) * (row_scale * pscale[j]);
-        yrow[j] = pbias == nullptr ? value : value + pbias[j];
+      }
+    }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const __m256 vrs = _mm256_set1_ps(q.xscale[i + r]);
+      float* yrow = q.py + (i + r) * q.n;
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        const std::size_t j = jb + 8 * v;
+        __m256 out = _mm256_mul_ps(
+            _mm256_cvtepi32_ps(acc[r][v]),
+            _mm256_mul_ps(vrs, _mm256_maskload_ps(q.pscale + j, mask[v])));
+        if (q.pbias != nullptr) {
+          out = _mm256_add_ps(out, _mm256_maskload_ps(q.pbias + j, mask[v]));
+        }
+        _mm256_maskstore_ps(yrow + j, mask[v], out);
       }
     }
   }
+  if constexpr (kRows > 1) qgemm_block_avx2<kVecs, 1>(q, i, ihi, jb);
+}
+
+ANOLE_TARGET_AVX2
+void qgemm_rows_avx2(const QgemmArgs& q, std::size_t ilo, std::size_t ihi) {
+  std::size_t jb = 0;
+  // 16-channel blocks of four rows (8 accumulators), and an 8-channel
+  // block of eight rows for a remainder of at most 8 channels.
+  for (; jb + 8 < q.n; jb += 16) qgemm_block_avx2<2, 4>(q, ilo, ihi, jb);
+  if (jb < q.n) qgemm_block_avx2<1, 8>(q, ilo, ihi, jb);
 }
 #endif  // ANOLE_HAVE_AVX2_TARGET
 
@@ -741,7 +797,7 @@ void kmeans_distances_sse2(const float* point, std::size_t dims,
 #endif  // __SSE2__
 
 #if ANOLE_HAVE_AVX2_TARGET
-ANOLE_TARGET_AVX2
+ANOLE_TARGET_AVX2 ANOLE_NO_CONTRACT
 void kmeans_distances_avx2(const float* point, std::size_t dims,
                            const double* ct, std::size_t k_stride,
                            double* dist) {
@@ -751,8 +807,9 @@ void kmeans_distances_avx2(const float* point, std::size_t dims,
       const __m256d pv = _mm256_set1_pd(static_cast<double>(point[d]));
       const __m256d diff =
           _mm256_sub_pd(pv, _mm256_loadu_pd(ct + d * k_stride + j));
-      // mul + add (no FMA): each lane rounds exactly like the scalar
-      // loop, keeping distances bitwise identical across levels.
+      // mul + add (no FMA, contraction off): each lane rounds exactly
+      // like the scalar loop, keeping distances bitwise identical across
+      // levels.
       acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
     }
     _mm256_storeu_pd(dist + j, acc);
@@ -841,25 +898,31 @@ float quantize_row_int16(Level level, std::span<const float> src,
 }
 
 void qgemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t n,
-                std::size_t kp, const std::int16_t* xq, const float* xscale,
-                const std::int16_t* pw, const float* pscale,
-                const float* pbias, float* py) {
-  ANOLE_DCHECK(kp % kQgemmDepthMultiple == 0,
-               "qgemm_rows: padded depth not a multiple of ",
-               kQgemmDepthMultiple);
+                std::size_t pairs, std::size_t channel_stride,
+                const std::int16_t* xq, std::size_t x_stride,
+                const float* xscale, const std::int16_t* pw,
+                const float* pscale, const float* pbias, float* py) {
+  ANOLE_DCHECK(channel_stride >= n &&
+                   channel_stride % kQgemmChannelMultiple == 0 &&
+                   x_stride >= 2 * pairs,
+               "qgemm_rows: channel stride ", channel_stride, " for ", n,
+               " channels, activation stride ", x_stride, " for ", pairs,
+               " depth pairs");
+  const QgemmArgs args{n,      pairs,  channel_stride, xq,    x_stride,
+                       xscale, pw,     pscale,         pbias, py};
   switch (level) {
 #if ANOLE_HAVE_AVX2_TARGET
     case Level::kAVX2:
-      qgemm_rows_avx2(ilo, ihi, n, kp, xq, xscale, pw, pscale, pbias, py);
+      qgemm_rows_avx2(args, ilo, ihi);
       return;
 #endif
 #if defined(__SSE2__)
     case Level::kSSE2:
-      qgemm_rows_sse2(ilo, ihi, n, kp, xq, xscale, pw, pscale, pbias, py);
+      qgemm_rows_sse2(args, ilo, ihi);
       return;
 #endif
     default:
-      qgemm_rows_scalar(ilo, ihi, n, kp, xq, xscale, pw, pscale, pbias, py);
+      qgemm_rows_scalar(args, ilo, ihi);
       return;
   }
 }

@@ -9,8 +9,10 @@
 // variable or `set_level()` (tests, replay).
 //
 // Determinism contract (per dispatch level):
-//   - int8 qgemm accumulates exact int32 sums at every level, so all
-//     levels produce bitwise identical outputs.
+//   - int8 qgemm accumulates exact int32 sums and dequantizes with a
+//     separate multiply and add (contraction into FMA is switched off on
+//     its kernels) at every level, so all levels produce bitwise
+//     identical outputs.
 //   - fp32 GEMM: kScalar and kSSE2 are bitwise identical (both evaluate
 //     c[j] += a*b[j] with one rounding per multiply and add); kAVX2 fuses
 //     the multiply-add (FMA, one rounding), so its outputs differ from
@@ -72,42 +74,60 @@ void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
 
 /// --- int8 GEMM kernels ----------------------------------------------
 
-/// The int16 execution layout pads depth to a multiple of this so the
-/// widest (AVX2) dot product has no scalar tail.
+/// Activation rows are quantized into int16 rows padded to a multiple of
+/// this, so the widest (AVX2) quantizer stores whole 16-code blocks.
 inline constexpr std::size_t kQgemmDepthMultiple = 16;
+
+/// The pair-interleaved weight layout pads output channels to a multiple
+/// of this: one AVX2 register of int32 accumulators (two SSE2 ones).
+inline constexpr std::size_t kQgemmChannelMultiple = 8;
 
 /// The one int8 rounding rule, shared by every quantizer (weights in
 /// tensor/qgemm.cpp, activation rows at every level in tensor/simd.cpp):
 /// the symmetric code for `value / scale`, round-to-nearest-even (the
 /// default FP environment, matching cvtps2dq in the vector paths),
-/// clamped to [-127, 127].
+/// clamped to [-127, 127]. Non-finite elements follow one rule at every
+/// level: +-Inf saturates to +-127 and NaN saturates low like -Inf, to
+/// -127 (the vector clamp's max takes its second operand, -127, when the
+/// first is NaN); `row_scale_for` callers leave NaN out of the absolute
+/// maximum.
 inline std::int32_t quantize_code(float value, float inv_scale) {
-  const float rounded = std::nearbyint(value * inv_scale);
-  return static_cast<std::int32_t>(std::clamp(rounded, -127.0f, 127.0f));
+  const float scaled = value * inv_scale;
+  if (std::isnan(scaled)) return -127;
+  return static_cast<std::int32_t>(
+      std::clamp(std::nearbyint(scaled), -127.0f, 127.0f));
 }
 
-/// Symmetric scale for a row with the given absolute maximum.
+/// Symmetric scale for a row with the given absolute maximum (taken over
+/// the row's non-NaN elements). A zero, denormal-underflowing or infinite
+/// maximum gives scale 1.
 inline float row_scale_for(float abs_max) {
   float scale = abs_max > 0.0f ? abs_max / 127.0f : 1.0f;
   if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
   return scale;
 }
 
-/// Quantizes one fp32 row into int8 codes stored as padded int16 (the
-/// pmaddwd idiom's input), returning the symmetric row scale. Codes and
-/// scale are identical at every level (round-to-nearest-even throughout).
+/// Quantizes one fp32 row into int8 codes stored as int16 (the pmaddwd
+/// idiom's input), zero-filling [src.size(), padded), and returns the
+/// symmetric row scale. `padded` must cover the row and be a multiple of
+/// kQgemmDepthMultiple. Codes and scale are identical at every level.
 float quantize_row_int16(Level level, std::span<const float> src,
                          std::int16_t* dst, std::size_t padded);
 
 /// Computes rows [ilo, ihi) of the int8 GEMM with fused dequant + bias:
-/// py[i*n + j] = float(dot(xq row i, pw channel j)) * (xscale[i] *
-/// pscale[j]) + pbias[j]. `kp` is the padded depth (multiple of
-/// kQgemmDepthMultiple); pbias may be null. Exact int32 accumulation:
-/// bitwise identical at every level, chunking, and thread count.
+/// py[i*n + j] = float(dot(x row i, channel j)) * (xscale[i] * pscale[j])
+/// + pbias[j], for j in [0, n). Activation row i is read as int16 codes
+/// at xq + i*x_stride (zero beyond the depth); the weights are in the
+/// pair-interleaved layout pw[(p*channel_stride + j)*2 + h] = W[j][2p+h]
+/// for depth pair p in [0, pairs) (tensor/qgemm.hpp), with channel_stride
+/// a multiple of kQgemmChannelMultiple and zero pad entries. pbias may be
+/// null. Exact int32 accumulation and an uncontracted dequant: bitwise
+/// identical at every level, chunking, and thread count.
 void qgemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t n,
-                std::size_t kp, const std::int16_t* xq, const float* xscale,
-                const std::int16_t* pw, const float* pscale,
-                const float* pbias, float* py);
+                std::size_t pairs, std::size_t channel_stride,
+                const std::int16_t* xq, std::size_t x_stride,
+                const float* xscale, const std::int16_t* pw,
+                const float* pscale, const float* pbias, float* py);
 
 /// --- k-means distance kernel ----------------------------------------
 

@@ -3,52 +3,82 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/check.hpp"
 #include "util/parallel.hpp"
 
 namespace anole::world {
 namespace {
 
-void write_descriptor(const Frame& frame, std::span<float> out) {
+/// Row-major cell pointer of a frame, after checking the cell tensor
+/// matches its grid.
+const float* cell_data(const Frame& frame) {
+  ANOLE_CHECK(frame.cells.rank() == 2 &&
+                  frame.cells.rows() == frame.cell_count() &&
+                  frame.cells.cols() == kCellChannels,
+              "frame cell tensor shape ", shape_to_string(frame.cells.shape()),
+              " does not match grid ", frame.grid_size, "x",
+              frame.grid_size);
+  return frame.cells.data().data();
+}
+
+/// One row-major sweep over the cells: writes the moments block (see
+/// write_channel_moments) and hands each cell to `visit` on the way. The
+/// sums live in local arrays rather than in an accumulator object: GCC
+/// keeps local arrays in vector registers across the sweep but not
+/// member arrays.
+template <typename Visit>
+void sweep_channel_moments(const Frame& frame, std::span<float> out,
+                           Visit&& visit) {
   const std::size_t cells = frame.cell_count();
-  // Per-channel mean and stddev.
-  for (std::size_t c = 0; c < kCellChannels; ++c) {
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (std::size_t i = 0; i < cells; ++i) {
-      const float v = frame.cells.at(i, c);
-      sum += v;
-      sum_sq += static_cast<double>(v) * v;
+  const float* cp = cell_data(frame);
+  double sum[kCellChannels] = {};
+  double sum_sq[kCellChannels] = {};
+  for (std::size_t i = 0; i < cells; ++i) {
+    const float* cell = cp + i * kCellChannels;
+    for (std::size_t c = 0; c < kCellChannels; ++c) {
+      const float v = cell[c];
+      sum[c] += v;
+      sum_sq[c] += static_cast<double>(v) * v;
     }
-    const double mean = sum / static_cast<double>(cells);
+    visit(cell);
+  }
+  for (std::size_t c = 0; c < kCellChannels; ++c) {
+    const double mean = sum[c] / static_cast<double>(cells);
     const double var =
-        std::max(0.0, sum_sq / static_cast<double>(cells) - mean * mean);
+        std::max(0.0, sum_sq[c] / static_cast<double>(cells) - mean * mean);
     out[c] = static_cast<float>(mean);
     out[kCellChannels + c] = static_cast<float>(std::sqrt(var));
   }
-  // Luminance histogram over per-cell mean of the luminance block,
-  // range [-0.25, 1.25].
+}
+
+/// The channel moments and, from the same sweep, the luminance histogram
+/// over each cell's mean of the luminance block, range [-0.25, 1.25].
+void write_descriptor(const Frame& frame, std::span<float> out) {
   constexpr double kLo = -0.25;
   constexpr double kHi = 1.25;
-  const std::size_t bins = FrameFeaturizer::kHistogramBins;
-  std::vector<double> counts(bins, 0.0);
-  for (std::size_t i = 0; i < cells; ++i) {
+  constexpr std::size_t kBins = FrameFeaturizer::kHistogramBins;
+  std::size_t counts[kBins] = {};
+  sweep_channel_moments(frame, out, [&](const float* cell) {
     double lum = 0.0;
-    for (std::size_t c = 0; c < kBlockChannels; ++c) {
-      lum += frame.cells.at(i, c);
-    }
+    for (std::size_t c = 0; c < kBlockChannels; ++c) lum += cell[c];
     lum /= static_cast<double>(kBlockChannels);
     const double clamped = std::clamp(lum, kLo, kHi - 1e-9);
     const auto bin = static_cast<std::size_t>((clamped - kLo) / (kHi - kLo) *
-                                              static_cast<double>(bins));
-    counts[bin] += 1.0;
-  }
-  for (std::size_t b = 0; b < bins; ++b) {
-    out[2 * kCellChannels + b] =
-        static_cast<float>(counts[b] / static_cast<double>(cells));
+                                              static_cast<double>(kBins));
+    ++counts[bin];
+  });
+  const auto cells = static_cast<double>(frame.cell_count());
+  for (std::size_t b = 0; b < kBins; ++b) {
+    out[kChannelMomentCount + b] =
+        static_cast<float>(static_cast<double>(counts[b]) / cells);
   }
 }
 
 }  // namespace
+
+void write_channel_moments(const Frame& frame, std::span<float> out) {
+  sweep_channel_moments(frame, out, [](const float*) {});
+}
 
 Tensor FrameFeaturizer::featurize(const Frame& frame) const {
   Tensor out = Tensor::matrix(1, feature_count());

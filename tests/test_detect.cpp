@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "nn/serialize.hpp"
+#include "world/featurizer.hpp"
 #include "world/world.hpp"
 
 namespace anole::detect {
@@ -131,6 +134,31 @@ TEST(GridDetector, BuildInputsShape) {
   const Tensor inputs = GridDetector::build_inputs(frame);
   EXPECT_EQ(inputs.rows(), frame.cell_count());
   EXPECT_EQ(inputs.cols(), GridDetector::input_features());
+}
+
+TEST(GridDetector, ContextColumnsAreTheChannelMoments) {
+  // Every cell row carries the frame's channel moments, bit for bit the
+  // featurizer's shared helper, at the default grid and at grids 1 and 5.
+  Rng rng(3);
+  for (const std::size_t grid :
+       {world::kDefaultGridSize, std::size_t{1}, std::size_t{5}}) {
+    const world::FrameGenerator generator(grid);
+    const world::SceneAttributes attrs{world::Weather::kRainy,
+                                       world::Location::kHighway,
+                                       world::TimeOfDay::kNight};
+    const auto style = world::SceneStyle::from_attributes(attrs);
+    const auto frame = generator.render(
+        style, attrs, {generator.sample_object(style, rng)}, rng);
+    std::vector<float> moments(world::kChannelMomentCount);
+    world::write_channel_moments(frame, moments);
+    const Tensor inputs = GridDetector::build_inputs(frame);
+    for (std::size_t i = 0; i < frame.cell_count(); ++i) {
+      EXPECT_EQ(std::memcmp(inputs.row(i).data() + world::kCellChannels,
+                            moments.data(), moments.size() * sizeof(float)),
+                0)
+          << "grid " << grid << " cell " << i;
+    }
+  }
 }
 
 TEST(GridDetector, TargetsMarkCenterCell) {

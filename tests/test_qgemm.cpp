@@ -245,44 +245,157 @@ TEST(Qgemm, BitwiseDeterministicAcrossThreadCounts) {
   EXPECT_TRUE(bitwise_equal(serial, parallel));
 }
 
+/// Checks qgemm at every dispatch level and at 1 and 4 threads against
+/// the scalar single-thread result, which must equal the integer
+/// reference; with and without bias.
+void expect_identical_at_every_level(const Tensor& x, const Tensor& w,
+                                     Rng& rng) {
+  const std::size_t m = x.rows();
+  const std::size_t k = x.cols();
+  const std::size_t n = w.cols();
+  std::vector<float> bias(n);
+  for (auto& v : bias) v = static_cast<float>(rng.normal());
+  const QuantizedMatrix q = quantize_weights(w);
+  for (const bool with_bias : {true, false}) {
+    const std::vector<float> b = with_bias ? bias : std::vector<float>{};
+    Tensor reference;
+    {
+      SimdLevelGuard simd_guard(simd::Level::kScalar);
+      par::set_thread_count(1);
+      reference = qgemm(x, q, b);
+    }
+    ASSERT_TRUE(bitwise_equal(reference, reference_qgemm(x, q, b)))
+        << m << "x" << k << "x" << n << " bias " << with_bias;
+    for (const simd::Level level : available_levels()) {
+      SimdLevelGuard simd_guard(level);
+      par::set_thread_count(1);
+      const Tensor serial = qgemm(x, q, b);
+      par::set_thread_count(4);
+      const Tensor parallel = qgemm(x, q, b);
+      EXPECT_TRUE(bitwise_equal(serial, reference))
+          << simd::level_name(level) << " " << m << "x" << k << "x" << n
+          << " bias " << with_bias;
+      EXPECT_TRUE(bitwise_equal(parallel, reference))
+          << simd::level_name(level) << " " << m << "x" << k << "x" << n
+          << " bias " << with_bias << " (4 threads)";
+    }
+  }
+}
+
 TEST(Qgemm, BitwiseIdenticalAtEveryDispatchLevel) {
   // The int8 contract (tensor/simd.hpp): int32 accumulation is exact and
-  // the fused dequant is one rounding per element at every level, so
+  // the dequant is an uncontracted multiply and add at every level, so
   // SSE2 and AVX2 must match the scalar kernel bit for bit — at any
-  // thread count.
+  // thread count. The shapes cover every channel count around the 4- and
+  // 8-lane accumulator groups and the 16-channel blocks, odd and even
+  // depths around the 16-code activation blocks, and row counts that are
+  // not a multiple of the kernels' 4- and 8-row blocks.
   ThreadCountGuard guard;
   Rng rng(22);
   for (const auto& [m, k, n] :
        std::vector<std::array<std::size_t, 3>>{{3, 5, 7},
                                                {144, 42, 16},
+                                               {144, 16, 5},
                                                {17, 130, 33}}) {
-    const Tensor x = random_matrix(m, k, rng);
-    const Tensor w = random_matrix(k, n, rng);
-    std::vector<float> bias(n);
-    for (auto& v : bias) v = static_cast<float>(rng.normal());
-    const QuantizedMatrix q = quantize_weights(w);
-
-    Tensor reference;
-    {
-      SimdLevelGuard simd_guard(simd::Level::kScalar);
-      par::set_thread_count(1);
-      reference = qgemm(x, q, bias);
-    }
-    ASSERT_TRUE(bitwise_equal(reference, reference_qgemm(x, q, bias)))
-        << m << "x" << k << "x" << n;
-    for (const simd::Level level : available_levels()) {
-      SimdLevelGuard simd_guard(level);
-      par::set_thread_count(1);
-      const Tensor serial = qgemm(x, q, bias);
-      par::set_thread_count(4);
-      const Tensor parallel = qgemm(x, q, bias);
-      EXPECT_TRUE(bitwise_equal(serial, reference))
-          << simd::level_name(level) << " " << m << "x" << k << "x" << n;
-      EXPECT_TRUE(bitwise_equal(parallel, reference))
-          << simd::level_name(level) << " " << m << "x" << k << "x" << n
-          << " (4 threads)";
+    expect_identical_at_every_level(random_matrix(m, k, rng),
+                                    random_matrix(k, n, rng), rng);
+  }
+  for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64}) {
+    for (const std::size_t k : {1, 2, 15, 16, 17, 41, 42, 43}) {
+      const std::size_t m = 13 + n % 3;
+      expect_identical_at_every_level(random_matrix(m, k, rng),
+                                      random_matrix(k, n, rng), rng);
     }
   }
+}
+
+TEST(QuantizedMatrix, PrepareIsIdempotentAndKeepsWireState) {
+  Rng rng(23);
+  for (const auto& [k, n] : std::vector<std::array<std::size_t, 2>>{
+           {42, 16}, {16, 5}, {7, 9}, {1, 1}}) {
+    QuantizedMatrix q = quantize_weights(random_matrix(k, n, rng));
+    const std::vector<std::int8_t> data = q.data;
+    const std::vector<float> scales = q.scales;
+    const std::vector<std::int16_t> layout = q.interleaved;
+    EXPECT_EQ(q.depth_pairs, (k + 1) / 2);
+    EXPECT_EQ(q.channel_stride % simd::kQgemmChannelMultiple, 0u);
+    EXPECT_GE(q.channel_stride, n);
+    ASSERT_EQ(layout.size(), q.depth_pairs * q.channel_stride * 2);
+    // Every weight sits at its pair slot; every pad slot is zero.
+    for (std::size_t p = 0; p < q.depth_pairs; ++p) {
+      for (std::size_t c = 0; c < q.channel_stride; ++c) {
+        for (std::size_t h = 0; h < 2; ++h) {
+          const std::size_t d = 2 * p + h;
+          const std::int16_t want =
+              c < n && d < k ? q.data[c * k + d] : std::int16_t{0};
+          EXPECT_EQ(layout[(p * q.channel_stride + c) * 2 + h], want)
+              << "p " << p << " c " << c << " h " << h;
+        }
+      }
+    }
+    q.prepare();
+    q.prepare();
+    EXPECT_EQ(q.interleaved, layout);
+    EXPECT_EQ(q.data, data);
+    EXPECT_EQ(q.scales, scales);
+  }
+}
+
+TEST(QuantizeRowInt16, SameCodesAndScaleAtEveryLevel) {
+  // Every row length from 0 to 40 crosses the vector bodies and their
+  // masked / stack-padded tails; non-finite elements follow one rule:
+  // NaN is left out of the scale and saturates to -127, +-Inf saturates.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(24);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    for (int variant = 0; variant < 4; ++variant) {
+      std::vector<float> row(len);
+      for (auto& v : row) v = static_cast<float>(rng.normal());
+      if (len > 0 && variant == 1) row[len - 1] = nan;
+      if (len > 0 && variant == 2) row[rng.uniform_index(len)] = nan;
+      if (len > 1 && variant == 3) {
+        row[0] = nan;
+        row[len - 1] = rng.uniform() < 0.5 ? inf : -inf;
+      }
+      const std::size_t padded =
+          (len + simd::kQgemmDepthMultiple - 1) / simd::kQgemmDepthMultiple *
+              simd::kQgemmDepthMultiple +
+          simd::kQgemmDepthMultiple;
+      std::vector<std::int16_t> want(padded, 99);
+      const float want_scale = simd::quantize_row_int16(
+          simd::Level::kScalar, row, want.data(), padded);
+      std::vector<std::int8_t> codes(len);
+      EXPECT_EQ(quantize_row_int8(row, codes), want_scale);
+      for (std::size_t i = 0; i < len; ++i) {
+        EXPECT_EQ(want[i], codes[i]) << "len " << len << " i " << i;
+        if (std::isnan(row[i])) {
+          EXPECT_EQ(want[i], -127);
+        } else if (std::isinf(row[i])) {
+          EXPECT_EQ(want[i], row[i] > 0 ? 127 : -127);
+        }
+      }
+      for (std::size_t i = len; i < padded; ++i) EXPECT_EQ(want[i], 0);
+      for (const simd::Level level : available_levels()) {
+        std::vector<std::int16_t> got(padded, 99);
+        const float scale =
+            simd::quantize_row_int16(level, row, got.data(), padded);
+        EXPECT_EQ(std::memcmp(&scale, &want_scale, sizeof(float)), 0)
+            << simd::level_name(level) << " len " << len << " variant "
+            << variant;
+        EXPECT_EQ(got, want) << simd::level_name(level) << " len " << len
+                             << " variant " << variant;
+      }
+    }
+  }
+  // A NaN leaves the finite maximum in charge of the scale.
+  const std::vector<float> row = {nan, 2.0f, -1.0f};
+  std::vector<std::int16_t> codes(simd::kQgemmDepthMultiple);
+  EXPECT_EQ(simd::quantize_row_int16(simd::Level::kScalar, row, codes.data(),
+                                     codes.size()),
+            2.0f / 127.0f);
+  EXPECT_EQ(simd::quantize_code(nan, 1.0f), -127);
+  EXPECT_EQ(simd::quantize_code(-inf, 1.0f), -127);
 }
 
 TEST(Qgemm, RejectsBadShapes) {
@@ -295,7 +408,7 @@ TEST(Qgemm, RejectsBadShapes) {
   const Tensor x = random_matrix(3, 8, rng);
   EXPECT_THROW((void)qgemm(x, q, bad_bias), std::invalid_argument);
   QuantizedMatrix unprepared = q;
-  unprepared.exec.clear();
+  unprepared.interleaved.clear();
   EXPECT_THROW((void)qgemm(x, unprepared), std::invalid_argument);
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "world/featurizer.hpp"
 
@@ -341,6 +347,121 @@ TEST(Featurizer, SeparatesDayFromNight) {
       generator.render(SceneStyle::from_attributes(night), night, {}, rng));
   // First luminance channel mean differs strongly.
   EXPECT_GT(fd[0] - fn[0], 0.2f);
+}
+
+/// The descriptor as a per-channel column walk: each channel's moments
+/// from its own strided pass over the cells, then a second pass for the
+/// luminance histogram (double bin counts). The featurizer's one-pass
+/// row-major sweep must reproduce it bit for bit.
+std::vector<float> column_walk_descriptor(const Frame& frame) {
+  std::vector<float> out(FrameFeaturizer::feature_count());
+  const std::size_t cells = frame.cell_count();
+  for (std::size_t c = 0; c < kCellChannels; ++c) {
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (std::size_t i = 0; i < cells; ++i) {
+      const float v = frame.cells.at(i, c);
+      sum += v;
+      sum_sq += static_cast<double>(v) * v;
+    }
+    const double mean = sum / static_cast<double>(cells);
+    const double var =
+        std::max(0.0, sum_sq / static_cast<double>(cells) - mean * mean);
+    out[c] = static_cast<float>(mean);
+    out[kCellChannels + c] = static_cast<float>(std::sqrt(var));
+  }
+  constexpr double kLo = -0.25;
+  constexpr double kHi = 1.25;
+  const std::size_t bins = FrameFeaturizer::kHistogramBins;
+  std::vector<double> counts(bins, 0.0);
+  for (std::size_t i = 0; i < cells; ++i) {
+    double lum = 0.0;
+    for (std::size_t c = 0; c < kBlockChannels; ++c) {
+      lum += frame.cells.at(i, c);
+    }
+    lum /= static_cast<double>(kBlockChannels);
+    const double clamped = std::clamp(lum, kLo, kHi - 1e-9);
+    const auto bin = static_cast<std::size_t>((clamped - kLo) / (kHi - kLo) *
+                                              static_cast<double>(bins));
+    counts[bin] += 1.0;
+  }
+  for (std::size_t b = 0; b < bins; ++b) {
+    out[2 * kCellChannels + b] =
+        static_cast<float>(counts[b] / static_cast<double>(cells));
+  }
+  return out;
+}
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Rendered frames across scenes and object loads at one grid size, plus
+/// one whose cells straddle the histogram range on both sides.
+std::vector<Frame> descriptor_frames(std::size_t grid, Rng& rng) {
+  const FrameGenerator generator(grid);
+  std::vector<Frame> frames;
+  for (std::size_t s = 0; s < kSemanticSceneCount; s += 3) {
+    const auto attrs = SceneAttributes::from_semantic_index(s);
+    const auto style = SceneStyle::from_attributes(attrs);
+    std::vector<ObjectInstance> objects;
+    for (std::size_t k = 0; k < s % 4; ++k) {
+      objects.push_back(generator.sample_object(style, rng));
+    }
+    frames.push_back(generator.render(style, attrs, objects, rng));
+  }
+  Frame extreme = frames.front();
+  for (std::size_t i = 0; i < extreme.cells.size(); ++i) {
+    extreme.cells[i] = static_cast<float>(rng.uniform(-2.0, 3.0));
+  }
+  frames.push_back(std::move(extreme));
+  return frames;
+}
+
+TEST(Featurizer, RowMajorSweepMatchesColumnWalkBitwise) {
+  Rng rng(14);
+  const FrameFeaturizer featurizer;
+  for (const std::size_t grid : {kDefaultGridSize, std::size_t{1},
+                                 std::size_t{5}}) {
+    const std::vector<Frame> frames = descriptor_frames(grid, rng);
+    std::vector<const Frame*> pointers;
+    for (const Frame& frame : frames) {
+      const Tensor got = featurizer.featurize(frame);
+      EXPECT_TRUE(same_bits(got.row(0), column_walk_descriptor(frame)))
+          << "grid " << grid << " frame " << pointers.size();
+      pointers.push_back(&frame);
+    }
+    const Tensor batch = featurizer.featurize_batch(pointers);
+    ASSERT_EQ(batch.rows(), frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_TRUE(
+          same_bits(batch.row(i), featurizer.featurize(frames[i]).row(0)))
+          << "grid " << grid << " batch row " << i;
+    }
+  }
+}
+
+TEST(Featurizer, MomentsAreTheDescriptorHead) {
+  Rng rng(15);
+  const FrameFeaturizer featurizer;
+  for (const Frame& frame : descriptor_frames(5, rng)) {
+    std::vector<float> moments(kChannelMomentCount);
+    write_channel_moments(frame, moments);
+    const Tensor descriptor = featurizer.featurize(frame);
+    EXPECT_TRUE(same_bits(descriptor.row(0).first(kChannelMomentCount),
+                          moments));
+  }
+}
+
+TEST(Featurizer, RejectsCellsThatDoNotMatchTheGrid) {
+  Rng rng(16);
+  Frame frame = descriptor_frames(5, rng).front();
+  frame.grid_size = 6;
+  const FrameFeaturizer featurizer;
+  EXPECT_THROW((void)featurizer.featurize(frame), std::invalid_argument);
+  std::vector<float> moments(kChannelMomentCount);
+  EXPECT_THROW(write_channel_moments(frame, moments), std::invalid_argument);
 }
 
 TEST(Frame, ObjectAreaRatio) {
