@@ -242,12 +242,15 @@ GemmSample time_qgemm(std::size_t m, std::size_t k, std::size_t n, int reps,
 
 /// The two halves of one int8 detector layer, timed apart at one forced
 /// dispatch level on the calling thread: quantizing all `m` activation
-/// rows, then the pair-interleaved dot kernel with fused dequant + bias
-/// over them. Microseconds per layer call (best of `reps` batches of
-/// `iters` calls), plus the kernel output for the cross-level check.
+/// rows in one simd::quantize_rows_int16 call, then the pair-interleaved
+/// dot kernel with fused dequant + bias over them. Microseconds per layer
+/// call (best of `reps` batches of `iters` calls), plus the codes, scales
+/// and kernel output for the cross-level check.
 struct LayerKernelSample {
   double quantize_us = 0.0;
   double dot_us = 0.0;
+  std::vector<std::int16_t> codes;
+  std::vector<float> scales;
   std::vector<float> output;
 };
 
@@ -274,10 +277,8 @@ LayerKernelSample time_layer_kernels(simd::Level level, std::size_t m,
   for (int r = 0; r < reps; ++r) {
     auto start = std::chrono::steady_clock::now();
     for (int it = 0; it < iters; ++it) {
-      for (std::size_t i = 0; i < m; ++i) {
-        xscale[i] =
-            simd::quantize_row_int16(level, x.row(i), xq.data() + i * kp, kp);
-      }
+      simd::quantize_rows_int16(level, x.data().data(), m, k, k, xq.data(),
+                                kp, xscale.data());
       benchmark::DoNotOptimize(xq.data());
       benchmark::ClobberMemory();
     }
@@ -294,6 +295,8 @@ LayerKernelSample time_layer_kernels(simd::Level level, std::size_t m,
   }
   sample.quantize_us = best_quantize / iters * 1e6;
   sample.dot_us = best_dot / iters * 1e6;
+  sample.codes = std::move(xq);
+  sample.scales = std::move(xscale);
   return sample;
 }
 
@@ -320,11 +323,14 @@ DetectorLayerSet time_detector_layers() {
     for (const simd::Level level : set.levels) {
       set.samples[s].push_back(
           time_layer_kernels(level, shape.m, shape.k, shape.n, 7, 400));
-      const auto& output = set.samples[s].back().output;
+      const LayerKernelSample& got = set.samples[s].back();
+      const LayerKernelSample& want = set.samples[s].front();
       set.identical_across_levels =
-          set.identical_across_levels &&
-          std::memcmp(output.data(), set.samples[s].front().output.data(),
-                      output.size() * sizeof(float)) == 0;
+          set.identical_across_levels && got.codes == want.codes &&
+          std::memcmp(got.scales.data(), want.scales.data(),
+                      got.scales.size() * sizeof(float)) == 0 &&
+          std::memcmp(got.output.data(), want.output.data(),
+                      got.output.size() * sizeof(float)) == 0;
     }
   }
   return set;
@@ -505,18 +511,29 @@ EngineBatchSample time_engine_batch(OspArtifacts& artifacts, int reps) {
   return sample;
 }
 
+/// Detector L1 shape at a full-batch row count: the layer the int8 fast
+/// path serves most often. Its 144 rows fall below the serial cutoff, so
+/// it runs inline at every pool thread count.
+constexpr std::size_t kQgemmM = 144, kQgemmK = 42, kQgemmN = 16;
+/// A qgemm shape whose row chunks fan out over the pool (8.4M
+/// multiply-adds in 16-row chunks, far above the default serial cutoff):
+/// the shape the thread-regression check compares.
+constexpr std::size_t kFanoutM = 1024, kFanoutK = 128, kFanoutN = 64;
+
 /// One matmul+qgemm+kmeans measurement at the current dispatch level and
 /// pool thread count.
 struct KernelSet {
   MatmulSample matmul;
   GemmSample qgemm;
+  GemmSample qgemm_fanout;
   KMeansSample kmeans;
 };
 
-KernelSet run_kernels(std::size_t m, std::size_t k, std::size_t n) {
+KernelSet run_kernels() {
   KernelSet set;
   set.matmul = time_matmul(512, 5);
-  set.qgemm = time_qgemm(m, k, n, 5, 512);
+  set.qgemm = time_qgemm(kQgemmM, kQgemmK, kQgemmN, 5, 512);
+  set.qgemm_fanout = time_qgemm(kFanoutM, kFanoutK, kFanoutN, 5, 16);
   set.kmeans = time_kmeans(3);
   return set;
 }
@@ -543,10 +560,6 @@ int run_json_suite() {
                default_threads, simd::level_name(detected),
                simd::level_name(active), kBenchThreads);
 
-  /// Detector L1 shape at a full-batch row count: the layer the int8 fast
-  /// path serves most often.
-  constexpr std::size_t kQgemmM = 144, kQgemmK = 42, kQgemmN = 16;
-
   // The detector layers' row quantizer and dot kernel, apart, per level.
   std::fprintf(stderr, "[bench_micro] detector layer kernels per level...\n");
   const DetectorLayerSet layers = time_detector_layers();
@@ -554,7 +567,7 @@ int run_json_suite() {
   // Scalar serial reference: the denominator of every headline speedup.
   simd::set_level(simd::Level::kScalar);
   par::set_thread_count(1);
-  const KernelSet scalar_1t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
+  const KernelSet scalar_1t = run_kernels();
   std::fprintf(stderr, "[bench_micro] OSP end-to-end, scalar 1T reference"
                " (the slowest run of the suite)...\n");
   const OspSample osp_s1 = time_osp();
@@ -562,15 +575,15 @@ int run_json_suite() {
 
   // The active dispatch level at 1/2/4 pool threads.
   par::set_thread_count(1);
-  const KernelSet active_1t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
+  const KernelSet active_1t = run_kernels();
   std::fprintf(stderr, "[bench_micro] OSP end-to-end at 1 thread...\n");
   const OspSample osp_a1 = time_osp();
   par::set_thread_count(2);
-  const KernelSet active_2t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
+  const KernelSet active_2t = run_kernels();
   std::fprintf(stderr, "[bench_micro] OSP end-to-end at 2 threads...\n");
   const OspSample osp_a2 = time_osp();
   par::set_thread_count(kBenchThreads);
-  const KernelSet active_4t = run_kernels(kQgemmM, kQgemmK, kQgemmN);
+  const KernelSet active_4t = run_kernels();
   std::fprintf(stderr, "[bench_micro] OSP end-to-end at %zu threads...\n",
                kBenchThreads);
   std::optional<OspArtifacts> osp_out;
@@ -610,7 +623,11 @@ int run_json_suite() {
       bitwise_equal_tensor(active_1t.qgemm.int8_product,
                            active_2t.qgemm.int8_product) &&
       bitwise_equal_tensor(active_1t.qgemm.int8_product,
-                           active_4t.qgemm.int8_product);
+                           active_4t.qgemm.int8_product) &&
+      bitwise_equal_tensor(active_1t.qgemm_fanout.int8_product,
+                           active_2t.qgemm_fanout.int8_product) &&
+      bitwise_equal_tensor(active_1t.qgemm_fanout.int8_product,
+                           active_4t.qgemm_fanout.int8_product);
   const bool kmeans_identical =
       bitwise_equal_double(active_1t.kmeans.inertia,
                            active_2t.kmeans.inertia) &&
@@ -625,8 +642,11 @@ int run_json_suite() {
   // Bitwise *level* invariance where the kernels promise it: the int8
   // path and the k-means distance kernel (fp32 GEMM at AVX2 uses FMA and
   // is exempt by contract — DESIGN.md §13).
-  const bool qgemm_level_identical = bitwise_equal_tensor(
-      scalar_1t.qgemm.int8_product, active_4t.qgemm.int8_product);
+  const bool qgemm_level_identical =
+      bitwise_equal_tensor(scalar_1t.qgemm.int8_product,
+                           active_4t.qgemm.int8_product) &&
+      bitwise_equal_tensor(scalar_1t.qgemm_fanout.int8_product,
+                           active_4t.qgemm_fanout.int8_product);
   const bool kmeans_level_identical = bitwise_equal_double(
       scalar_1t.kmeans.inertia, active_4t.kmeans.inertia);
 
@@ -680,6 +700,21 @@ int run_json_suite() {
   std::fprintf(out, "      \"int8_us_1t\": %.4f,\n", active_1t.qgemm.int8_us);
   std::fprintf(out, "      \"int8_us_2t\": %.4f,\n", active_2t.qgemm.int8_us);
   std::fprintf(out, "      \"int8_us_4t\": %.4f\n", active_4t.qgemm.int8_us);
+  std::fprintf(out, "    }\n");
+  std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"qgemm_%zux%zux%zu\": {\n", kFanoutM, kFanoutK,
+               kFanoutN);
+  std::fprintf(out, "    \"int8_us_scalar_1t\": %.4f,\n",
+               scalar_1t.qgemm_fanout.int8_us);
+  std::fprintf(out, "    \"speedup\": %.4f,\n",
+               scalar_1t.qgemm_fanout.int8_us / active_4t.qgemm_fanout.int8_us);
+  std::fprintf(out, "    \"thread_scaling\": {\n");
+  std::fprintf(out, "      \"int8_us_1t\": %.4f,\n",
+               active_1t.qgemm_fanout.int8_us);
+  std::fprintf(out, "      \"int8_us_2t\": %.4f,\n",
+               active_2t.qgemm_fanout.int8_us);
+  std::fprintf(out, "      \"int8_us_4t\": %.4f\n",
+               active_4t.qgemm_fanout.int8_us);
   std::fprintf(out, "    }\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"detector_layer_kernels\": {\n");
@@ -771,10 +806,13 @@ int run_json_suite() {
                              kmeans_level_identical &&
                              layers.identical_across_levels;
   // A parallel kernel must never lose to its own 1-thread run (the
-  // pre-overhaul k-means did): 10% tolerance absorbs timer noise.
+  // pre-overhaul k-means did): 10% tolerance absorbs timer noise. The
+  // qgemm side compares the shape that fans out; the detector shape runs
+  // inline at every thread count, so its 1T/4T ratio is timer noise.
   const bool no_thread_regression =
       active_4t.kmeans.seconds <= active_1t.kmeans.seconds * 1.10 &&
-      active_4t.qgemm.int8_us <= active_1t.qgemm.int8_us * 1.10;
+      active_4t.qgemm_fanout.int8_us <=
+          active_1t.qgemm_fanout.int8_us * 1.10;
   // Speedup floors only bind when a vector level is active: on a
   // scalar-only host every ratio is ~1 by construction.
   const bool speedups_ok =

@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <string_view>
 #include <utility>
 
 #include "nn/quantize.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
+#include "util/spec.hpp"
+#include "world/featurizer.hpp"
 
 namespace anole::core {
 namespace {
@@ -25,17 +29,25 @@ bool is_damaged(const AnoleSystem& system, std::size_t model) {
                    model) != system.damaged_models.end();
 }
 
-/// Parses ANOLE_MEM_BUDGET_MB (paper-equivalent MB, fractional allowed);
-/// 0 when unset, empty, or unparseable.
-double mem_budget_mb_from_env() {
+/// The cache byte budget ANOLE_MEM_BUDGET_MB asks for: paper-equivalent
+/// MB (fractional allowed), where one full compressed model is the device
+/// simulator's ~40 paper-MB reference (device/profile.hpp MemoryModel)
+/// and weighs `reference_bytes`. 0 when unset or empty. Throws
+/// ContractViolation on a value that is not a finite positive number or
+/// whose byte count does not fit in 64 bits.
+std::uint64_t mem_budget_bytes_from_env(std::uint64_t reference_bytes) {
+  constexpr std::string_view kVar = "ANOLE_MEM_BUDGET_MB";
+  // Spelled out: the analyzer's env-var-registry rule reads the literal.
   const char* value = std::getenv("ANOLE_MEM_BUDGET_MB");
-  if (value == nullptr || *value == '\0') return 0.0;
-  char* end = nullptr;
-  const double mb = std::strtod(value, &end);
-  ANOLE_CHECK(end != value && *end == '\0' && mb > 0.0,
-              "ANOLE_MEM_BUDGET_MB: expected a positive number, got '",
-              value, "'");
-  return mb;
+  if (value == nullptr || *value == '\0') return 0;
+  const double mb = spec::parse_finite_double(value, kVar, "the budget");
+  ANOLE_CHECK(mb > 0.0, kVar, ": expected a positive number, got '", value,
+              "'");
+  const double bytes = mb / 40.0 * static_cast<double>(reference_bytes);
+  // 2^64: every double below it converts to uint64 without overflow.
+  ANOLE_CHECK(bytes < 18446744073709551616.0, kVar, ": budget '", value,
+              "' is ", bytes, " bytes, beyond the 64-bit byte count");
+  return static_cast<std::uint64_t>(bytes);
 }
 
 }  // namespace
@@ -96,15 +108,10 @@ AnoleEngine::AnoleEngine(const AnoleSystem& system,
   }
   cache_.set_model_bytes(model_bytes);
   if (config.cache.memory_budget_bytes == 0) {
-    // ANOLE_MEM_BUDGET_MB speaks paper-equivalent MB, where one full
-    // compressed model is the device simulator's ~40 paper-MB reference
-    // (device/profile.hpp MemoryModel); damaged placeholders are smaller,
-    // so the largest real model anchors the conversion.
-    const double budget_mb = mem_budget_mb_from_env();
-    if (budget_mb > 0.0) {
-      cache_.set_memory_budget_bytes(static_cast<std::uint64_t>(
-          budget_mb / 40.0 * static_cast<double>(reference_bytes)));
-    }
+    // Damaged placeholders are smaller than a real model, so the largest
+    // model anchors the paper-MB conversion.
+    const std::uint64_t budget = mem_budget_bytes_from_env(reference_bytes);
+    if (budget > 0) cache_.set_memory_budget_bytes(budget);
   }
 
   governor_ =
@@ -152,11 +159,13 @@ std::vector<EngineResult> AnoleEngine::process_batch(
   // and nested tensor kernels inside a pool worker run inline with
   // thread-count-invariant chunking, so each frame's detections are
   // bitwise identical to the serial path. No work hint: a frame is
-  // always worth a chunk.
+  // always worth a chunk. The detector takes the frame's channel moments
+  // from the head of its descriptor (the featurizer writes the same
+  // moments there), so a served frame sweeps its cells once.
   par::parallel_for(0, frames.size(), 1, [&](std::size_t i) {
     if (planned[i] == kNoDetect) return;
-    results[i].detections =
-        system_->repository.detector(planned[i]).infer(*frames[i]);
+    results[i].detections = system_->repository.detector(planned[i]).infer(
+        *frames[i], descriptors.row(i).first(world::kChannelMomentCount));
   });
   return results;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "nn/serialize.hpp"
 #include "util/check.hpp"
@@ -13,6 +14,11 @@ namespace {
 
 /// Context descriptor width: per-channel mean and stddev of the frame.
 constexpr std::size_t kContextFeatures = world::kChannelMomentCount;
+
+/// Logit margin of the decode filter (2^-10, exact in binary). The float
+/// sigmoid below is accurate to a few float ULP, so moving the logit by
+/// this much changes exp(-z) by ~1e-3 relative, far beyond its error.
+constexpr double kDecodeLogitMargin = 1.0 / 1024.0;
 
 }  // namespace
 
@@ -32,7 +38,9 @@ GridDetectorConfig GridDetectorConfig::large(std::string name) {
 
 GridDetector::GridDetector(const GridDetectorConfig& config, Rng& rng,
                            std::size_t grid_size)
-    : config_(config), grid_size_(grid_size) {
+    : config_(config),
+      logit_floor_(decode_logit_floor(config.confidence_threshold)),
+      grid_size_(grid_size) {
   ANOLE_CHECK_GE(grid_size, 1u, "GridDetector: grid_size == 0");
   // A threshold above 1 is legal: it suppresses every detection.
   ANOLE_CHECK_GE(config.confidence_threshold, 0.0,
@@ -52,6 +60,13 @@ std::size_t GridDetector::input_features() {
 }
 
 Tensor GridDetector::build_inputs(const world::Frame& frame) {
+  float moments[kContextFeatures];
+  world::write_channel_moments(frame, moments);
+  return build_inputs(frame, moments);
+}
+
+Tensor GridDetector::build_inputs(const world::Frame& frame,
+                                  std::span<const float> moments) {
   const std::size_t g = frame.grid_size;
   const std::size_t cells = frame.cell_count();
   ANOLE_CHECK(frame.cells.rank() == 2 && frame.cells.rows() == cells &&
@@ -59,6 +74,8 @@ Tensor GridDetector::build_inputs(const world::Frame& frame) {
               "GridDetector::build_inputs: frame cell tensor shape ",
               shape_to_string(frame.cells.shape()), " does not match grid ",
               g, "x", g);
+  ANOLE_CHECK_EQ(moments.size(), kContextFeatures,
+                 "GridDetector::build_inputs: channel moments span size");
   // Hot on both the serving and training paths (every infer featurizes
   // its frame), so the assembly runs on raw row pointers: same values in
   // the same order as the span-per-cell version, minus the per-access
@@ -66,50 +83,62 @@ Tensor GridDetector::build_inputs(const world::Frame& frame) {
   // is written below, so the zero-fill is skipped too.
   const std::size_t features = input_features();
   Tensor inputs = Tensor::uninitialized(Shape{cells, features});
-  float context[kContextFeatures];
-  world::write_channel_moments(frame, context);
   float* const ip = inputs.data().data();
   const float* const cp = frame.cells.data().data();
   for (std::size_t y = 0; y < g; ++y) {
+    // The in-grid part of the 3x3 neighbourhood, walked row by row in the
+    // same order as probing all nine offsets and skipping the outside.
+    const std::size_t y_lo = y == 0 ? 0 : y - 1;
+    const std::size_t y_hi = std::min(y + 1, g - 1);
     for (std::size_t x = 0; x < g; ++x) {
       const std::size_t i = y * g + x;
       float* row = ip + i * features;
       const float* cell = cp + i * world::kCellChannels;
       std::copy(cell, cell + world::kCellChannels, row);
-      std::copy(context, context + kContextFeatures,
-                row + world::kCellChannels);
+      std::copy(moments.begin(), moments.end(), row + world::kCellChannels);
       row[world::kCellChannels + kContextFeatures] =
           static_cast<float>(x) / static_cast<float>(g);
       row[world::kCellChannels + kContextFeatures + 1] =
           static_cast<float>(y) / static_cast<float>(g);
       // Neighborhood mean of the object block.
+      const std::size_t x_lo = x == 0 ? 0 : x - 1;
+      const std::size_t x_hi = std::min(x + 1, g - 1);
       float neighborhood[world::kBlockChannels] = {};
-      int count = 0;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int nx = static_cast<int>(x) + dx;
-          const int ny = static_cast<int>(y) + dy;
-          if (nx < 0 || ny < 0 || nx >= static_cast<int>(g) ||
-              ny >= static_cast<int>(g)) {
-            continue;
-          }
-          const float* neighbor =
-              cp + (static_cast<std::size_t>(ny) * g +
-                    static_cast<std::size_t>(nx)) *
-                       world::kCellChannels;
+      for (std::size_t ny = y_lo; ny <= y_hi; ++ny) {
+        for (std::size_t nx = x_lo; nx <= x_hi; ++nx) {
+          const float* neighbor = cp + (ny * g + nx) * world::kCellChannels +
+                                  2 * world::kBlockChannels;
           for (std::size_t c = 0; c < world::kBlockChannels; ++c) {
-            neighborhood[c] += neighbor[2 * world::kBlockChannels + c];
+            neighborhood[c] += neighbor[c];
           }
-          ++count;
         }
       }
+      const auto count =
+          static_cast<float>((y_hi - y_lo + 1) * (x_hi - x_lo + 1));
       for (std::size_t c = 0; c < world::kBlockChannels; ++c) {
         row[world::kCellChannels + kContextFeatures + 2 + c] =
-            neighborhood[c] / static_cast<float>(count);
+            neighborhood[c] / count;
       }
     }
   }
   return inputs;
+}
+
+float GridDetector::decode_logit_floor(double confidence_threshold) {
+  constexpr float kNoFilter = -std::numeric_limits<float>::infinity();
+  // Every confidence (NaN included) passes a threshold <= 0, and a
+  // threshold >= 1 keeps exactly the cells whose confidence rounds to 1:
+  // there the sigmoid alone decides.
+  if (!(confidence_threshold > 0.0 && confidence_threshold < 1.0)) {
+    return kNoFilter;
+  }
+  const double bound = std::log(confidence_threshold) -
+                       std::log1p(-confidence_threshold) - kDecodeLogitMargin;
+  float floor = static_cast<float>(bound);
+  if (static_cast<double>(floor) > bound) {
+    floor = std::nextafter(floor, kNoFilter);
+  }
+  return floor;
 }
 
 GridDetector::Targets GridDetector::build_targets(const world::Frame& frame) {
@@ -138,17 +167,35 @@ GridDetector::Targets GridDetector::build_targets(const world::Frame& frame) {
 }
 
 std::vector<Detection> GridDetector::infer(const world::Frame& frame) const {
+  ANOLE_CHECK_EQ(frame.grid_size, grid_size_,
+                 "GridDetector::infer: frame grid does not match the grid "
+                 "this detector was built for");
+  float moments[kContextFeatures];
+  world::write_channel_moments(frame, moments);
+  return infer(frame, moments);
+}
+
+std::vector<Detection> GridDetector::infer(
+    const world::Frame& frame, std::span<const float> moments) const {
   const std::size_t g = frame.grid_size;
   ANOLE_CHECK_EQ(g, grid_size_,
                  "GridDetector::infer: frame grid does not match the grid "
                  "this detector was built for");
-  Tensor inputs = build_inputs(frame);
-  Tensor outputs = network_->infer(inputs);
+  Tensor inputs = build_inputs(frame, moments);
+  const Tensor outputs = network_->infer(inputs);
+  ANOLE_CHECK(outputs.rank() == 2 && outputs.rows() == g * g &&
+                  outputs.cols() == kOutputsPerCell,
+              "GridDetector::infer: network output shape ",
+              shape_to_string(outputs.shape()));
+  const float* const op = outputs.data().data();
   std::vector<Detection> detections;
   for (std::size_t y = 0; y < g; ++y) {
     for (std::size_t x = 0; x < g; ++x) {
-      const std::size_t i = y * g + x;
-      auto row = outputs.row(i);
+      const float* row = op + (y * g + x) * kOutputsPerCell;
+      // Decode filter: below the floor the confidence is certainly under
+      // the threshold. A NaN logit fails this comparison and takes the
+      // exact expression, as every cell at or above the floor does.
+      if (row[0] < logit_floor_) continue;
       const double confidence = 1.0 / (1.0 + std::exp(-row[0]));
       if (confidence < config_.confidence_threshold) continue;
       Detection det;

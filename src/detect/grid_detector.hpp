@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,8 +50,18 @@ class GridDetector {
 
   /// Runs detection on one frame (post NMS). Writes no state (the
   /// network runs through nn::Module::infer), so concurrent infer() calls
-  /// on one detector are safe as long as no thread mutates it.
+  /// on one detector are safe as long as no thread mutates it. Computes
+  /// the frame's channel moments and calls the overload below.
   std::vector<Detection> infer(const world::Frame& frame) const;
+
+  /// Runs detection on one frame whose channel moments
+  /// (world::write_channel_moments, kChannelMomentCount values) the
+  /// caller already has: the engine hands over the head of the frame
+  /// descriptor, so a served frame sweeps its cells once. Bitwise equal
+  /// to infer(frame) when `moments` are that frame's moments; throws
+  /// ContractViolation on a span of the wrong size.
+  std::vector<Detection> infer(const world::Frame& frame,
+                               std::span<const float> moments) const;
   std::string name() const { return config_.name; }
 
   /// Per-frame multiply-accumulate cost (drives the device simulator).
@@ -64,6 +75,18 @@ class GridDetector {
 
   /// Builds the [cells, input_features] matrix for one frame.
   static Tensor build_inputs(const world::Frame& frame);
+
+  /// Same, with the frame's channel moments supplied (see the infer
+  /// overload above).
+  static Tensor build_inputs(const world::Frame& frame,
+                             std::span<const float> moments);
+
+  /// Decode filter bound (DESIGN.md §10): a cell whose float objectness
+  /// logit is below this cannot reach `confidence_threshold`, so decode
+  /// skips it without evaluating the sigmoid. It is the largest float at
+  /// or below logit(threshold) - 2^-10; -inf (no filter) when the
+  /// threshold is not strictly between 0 and 1.
+  static float decode_logit_floor(double confidence_threshold);
 
   /// Per-cell training targets for one frame: objectness [cells, 1],
   /// box regression [cells, 4], and the positive-cell mask [cells, 4].
@@ -81,10 +104,13 @@ class GridDetector {
 
   void set_confidence_threshold(double threshold) {
     config_.confidence_threshold = threshold;
+    logit_floor_ = decode_logit_floor(threshold);
   }
 
  private:
   GridDetectorConfig config_;
+  /// decode_logit_floor(config_.confidence_threshold), kept in step.
+  float logit_floor_;
   std::size_t grid_size_;
   std::unique_ptr<nn::Sequential> network_;
 };

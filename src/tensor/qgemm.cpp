@@ -223,21 +223,21 @@ Tensor qgemm(const Tensor& x, const QuantizedMatrix& weights,
   // exact, so the result is independent of blocking, unrolling, thread
   // count, and dispatch level by construction.
   // for_overwrite: every slot (including depth padding) is written by
-  // simd::quantize_row_int16 before the kernel reads it, so value-
+  // simd::quantize_rows_int16 before the kernel reads it, so value-
   // initializing ~m*kp*2 bytes here would be pure memset overhead.
   const auto xq = std::make_unique_for_overwrite<std::int16_t[]>(m * kp);
   const auto xscale = std::make_unique_for_overwrite<float[]>(m);
   const simd::Level level = simd::active_level();
+  const std::size_t depth = weights.depth;
   const std::size_t work_per_row = kp * n;
   par::parallel_for_chunks(
       0, m, par::work_grain(kRowGrain, work_per_row), work_per_row,
       [&](std::size_t ilo, std::size_t ihi) {
         std::int16_t* const qbase = xq.get();
         float* const sbase = xscale.get();
-        for (std::size_t i = ilo; i < ihi; ++i) {
-          sbase[i] =
-              simd::quantize_row_int16(level, x.row(i), qbase + i * kp, kp);
-        }
+        simd::quantize_rows_int16(level, x.data().data() + ilo * depth,
+                                  ihi - ilo, depth, depth, qbase + ilo * kp,
+                                  kp, sbase + ilo);
         simd::qgemm_rows(level, ilo, ihi, n, weights.depth_pairs,
                          weights.channel_stride, qbase, kp, sbase,
                          weights.interleaved.data(), weights.scales.data(),

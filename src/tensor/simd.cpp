@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string_view>
 
 #if defined(__SSE2__)
@@ -336,28 +337,51 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
 
 /// --- activation quantization ----------------------------------------
 //
-// Every level computes the same codes and scale (quantize_code and
+// Every level computes the same codes and scales (quantize_code and
 // row_scale_for in simd.hpp). Vector max/min return their second operand
 // when either is NaN, and the operand order carries the NaN rule: the
 // running maximum goes second, so NaN elements are left out of it, and
 // the clamp's max(x, -127) sends NaN to -127; +-Inf saturate.
+//
+// The vector levels quantize a block of rows at once (8 at AVX2, 4 at
+// SSE2): one abs-max chain per row, interleaved so their latencies
+// overlap, one transposed reduction that leaves row r's maximum in lane
+// r, then one division for the block's scales and one for their
+// inverses. The running maxima never hold NaN, so the order in which a
+// reduction combines them cannot change the result, and a lane-wise
+// IEEE division is the scalar division. A block that runs past the last
+// row repeats that row in its spare lanes and stores only its live rows.
+
+/// Code-lane masks for a row's last block: loading 8 (SSE2) or 16 (AVX2)
+/// lanes at `kCodeTailMask + 16 - t` keeps the first `t` codes. Lanes past
+/// the row read 0, which quantizes to 0 unless the inverse scale is
+/// infinite (a scale below 1/FLT_MAX); then 0 * inf is NaN and would
+/// become -127, so the mask, not the arithmetic, makes the padding zero.
+alignas(32) constexpr std::int16_t kCodeTailMask[32] = {
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0};
 
 ANOLE_NO_AUTOVEC
-float quantize_row_int16_scalar(std::span<const float> src, std::int16_t* dst,
-                                std::size_t padded) {
-  const std::size_t n = src.size();
-  float abs_max = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    // std::max keeps its first argument when the second is NaN.
-    abs_max = std::max(abs_max, std::fabs(src[i]));
+void quantize_rows_int16_scalar(const float* x, std::size_t rows,
+                                std::size_t depth, std::size_t x_stride,
+                                std::int16_t* dst, std::size_t padded,
+                                float* scales) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* src = x + r * x_stride;
+    std::int16_t* out = dst + r * padded;
+    float abs_max = 0.0f;
+    for (std::size_t i = 0; i < depth; ++i) {
+      // std::max keeps its first argument when the second is NaN.
+      abs_max = std::max(abs_max, std::fabs(src[i]));
+    }
+    const float scale = row_scale_for(abs_max);
+    const float inv_scale = 1.0f / scale;
+    for (std::size_t i = 0; i < depth; ++i) {
+      out[i] = static_cast<std::int16_t>(quantize_code(src[i], inv_scale));
+    }
+    std::fill(out + depth, out + padded, std::int16_t{0});
+    scales[r] = scale;
   }
-  const float scale = row_scale_for(abs_max);
-  const float inv_scale = 1.0f / scale;
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<std::int16_t>(quantize_code(src[i], inv_scale));
-  }
-  std::fill(dst + n, dst + padded, std::int16_t{0});
-  return scale;
 }
 
 #if defined(__SSE2__)
@@ -375,38 +399,87 @@ inline __m128i quantize8_sse2(const float* src, __m128 vinv) {
   return _mm_packs_epi32(_mm_cvtps_epi32(a), _mm_cvtps_epi32(b));
 }
 
-float quantize_row_int16_sse2(std::span<const float> src, std::int16_t* dst,
-                              std::size_t padded) {
-  const std::size_t n = src.size();
-  const std::size_t body = n - n % 8;
-  // The row tail runs through the same 8-wide code on a zero-padded stack
-  // copy: zeros leave the maximum alone and quantize to the pad code 0.
-  alignas(16) float tail[8] = {};
-  std::copy(src.data() + body, src.data() + n, tail);
+/// Rows [0, live) of the 4-row block at `x` (1 <= live <= 4).
+void quantize_block4_sse2(const float* x, std::size_t live, std::size_t depth,
+                          std::size_t x_stride, std::int16_t* dst,
+                          std::size_t padded, float* scales) {
+  const float* src[4];
+  for (std::size_t r = 0; r < 4; ++r) {
+    src[r] = x + std::min(r, live - 1) * x_stride;
+  }
+  const std::size_t body = depth - depth % 8;
+  // Row tails run through the same 8-wide code on zero-padded stack
+  // copies: zeros leave the maximum alone, and the tail mask turns their
+  // codes into the pad code 0.
+  alignas(16) float tail[4][8] = {};
+  for (std::size_t r = 0; r < 4; ++r) {
+    std::copy(src[r] + body, src[r] + depth, tail[r]);
+  }
   const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
-  __m128 vmax = _mm_setzero_ps();
+  __m128 vmax[4];
+  for (std::size_t r = 0; r < 4; ++r) vmax[r] = _mm_setzero_ps();
   for (std::size_t i = 0; i < body; i += 4) {
-    vmax = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(src.data() + i), abs_mask),
-                      vmax);
+    for (std::size_t r = 0; r < 4; ++r) {
+      vmax[r] = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(src[r] + i), abs_mask),
+                           vmax[r]);
+    }
   }
-  vmax = _mm_max_ps(_mm_and_ps(_mm_load_ps(tail), abs_mask), vmax);
-  vmax = _mm_max_ps(_mm_and_ps(_mm_load_ps(tail + 4), abs_mask), vmax);
-  __m128 fold = _mm_max_ps(vmax, _mm_shuffle_ps(vmax, vmax, 0x4E));
-  fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0xB1));
-  const float scale = row_scale_for(_mm_cvtss_f32(fold));
-  const __m128 vinv = _mm_set1_ps(1.0f / scale);
-  for (std::size_t i = 0; i < body; i += 8) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     quantize8_sse2(src.data() + i, vinv));
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t i = 0; i < 8; i += 4) {
+      vmax[r] = _mm_max_ps(_mm_and_ps(_mm_load_ps(tail[r] + i), abs_mask),
+                           vmax[r]);
+    }
   }
-  std::size_t written = body;
-  if (body < n) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + body),
-                     quantize8_sse2(tail, vinv));
-    written += 8;
+  // Transposed reduction: lane r of abs_max is row r's maximum.
+  const __m128 t0 = _mm_max_ps(_mm_unpacklo_ps(vmax[0], vmax[1]),
+                               _mm_unpackhi_ps(vmax[0], vmax[1]));
+  const __m128 t1 = _mm_max_ps(_mm_unpacklo_ps(vmax[2], vmax[3]),
+                               _mm_unpackhi_ps(vmax[2], vmax[3]));
+  const __m128 abs_max =
+      _mm_max_ps(_mm_movelh_ps(t0, t1), _mm_movehl_ps(t1, t0));
+  // row_scale_for per lane: a zero, underflowed or infinite quotient
+  // gives scale 1.
+  const __m128 one = _mm_set1_ps(1.0f);
+  const __m128 quotient = _mm_div_ps(abs_max, _mm_set1_ps(127.0f));
+  const __m128 inf = _mm_set1_ps(std::numeric_limits<float>::infinity());
+  const __m128 usable = _mm_and_ps(_mm_cmpgt_ps(quotient, _mm_setzero_ps()),
+                                   _mm_cmplt_ps(quotient, inf));
+  const __m128 scale =
+      _mm_or_ps(_mm_and_ps(usable, quotient), _mm_andnot_ps(usable, one));
+  alignas(16) float block_scale[4];
+  alignas(16) float block_inv[4];
+  _mm_store_ps(block_scale, scale);
+  _mm_store_ps(block_inv, _mm_div_ps(one, scale));
+  for (std::size_t r = 0; r < live; ++r) {
+    scales[r] = block_scale[r];
+    const __m128 vinv = _mm_set1_ps(block_inv[r]);
+    std::int16_t* out = dst + r * padded;
+    for (std::size_t i = 0; i < body; i += 8) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                       quantize8_sse2(src[r] + i, vinv));
+    }
+    std::size_t written = body;
+    if (body < depth) {
+      const __m128i keep = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+          kCodeTailMask + 16 - (depth - body)));
+      _mm_storeu_si128(
+          reinterpret_cast<__m128i*>(out + body),
+          _mm_and_si128(quantize8_sse2(tail[r], vinv), keep));
+      written += 8;
+    }
+    std::fill(out + written, out + padded, std::int16_t{0});
   }
-  std::fill(dst + written, dst + padded, std::int16_t{0});
-  return scale;
+}
+
+void quantize_rows_int16_sse2(const float* x, std::size_t rows,
+                              std::size_t depth, std::size_t x_stride,
+                              std::int16_t* dst, std::size_t padded,
+                              float* scales) {
+  for (std::size_t r = 0; r < rows; r += 4) {
+    quantize_block4_sse2(x + r * x_stride, std::min<std::size_t>(rows - r, 4),
+                         depth, x_stride, dst + r * padded, padded,
+                         scales + r);
+  }
 }
 #endif  // __SSE2__
 
@@ -424,51 +497,106 @@ ANOLE_TARGET_AVX2 inline __m256i quantize16_avx2(__m256 a, __m256 b,
       _mm256_packs_epi32(_mm256_cvtps_epi32(a), _mm256_cvtps_epi32(b)), 0xD8);
 }
 
+/// Rows [0, live) of the 8-row block at `x` (1 <= live <= 8). Masked
+/// loads read each row's tail without touching memory past it; disabled
+/// lanes read as 0, which leaves the maximum alone, and the tail mask
+/// turns their codes into the pad code 0.
 ANOLE_TARGET_AVX2
-float quantize_row_int16_avx2(std::span<const float> src, std::int16_t* dst,
-                              std::size_t padded) {
-  const std::size_t n = src.size();
-  const float* s = src.data();
-  // Masked loads read the row tail without touching memory past it;
-  // disabled lanes read as 0, which leaves the maximum alone and
-  // quantizes to the pad code 0.
+void quantize_block8_avx2(const float* x, std::size_t live, std::size_t depth,
+                          std::size_t x_stride, std::int16_t* dst,
+                          std::size_t padded, float* scales) {
+  const float* src[8];
+  for (std::size_t r = 0; r < 8; ++r) {
+    src[r] = x + std::min(r, live - 1) * x_stride;
+  }
   const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
-  __m256 vmax = _mm256_setzero_ps();
+  __m256 vmax[8];
+  for (std::size_t r = 0; r < 8; ++r) vmax[r] = _mm256_setzero_ps();
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vmax = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(s + i), abs_mask),
-                         vmax);
+  for (; i + 8 <= depth; i += 8) {
+    for (std::size_t r = 0; r < 8; ++r) {
+      vmax[r] = _mm256_max_ps(
+          _mm256_and_ps(_mm256_loadu_ps(src[r] + i), abs_mask), vmax[r]);
+    }
   }
-  if (i < n) {
-    const __m256 v = _mm256_maskload_ps(s + i, lane_mask(n - i));
-    vmax = _mm256_max_ps(_mm256_and_ps(v, abs_mask), vmax);
+  if (i < depth) {
+    const __m256i mask = lane_mask(depth - i);
+    for (std::size_t r = 0; r < 8; ++r) {
+      vmax[r] = _mm256_max_ps(
+          _mm256_and_ps(_mm256_maskload_ps(src[r] + i, mask), abs_mask),
+          vmax[r]);
+    }
   }
-  __m128 fold = _mm_max_ps(_mm256_castps256_ps128(vmax),
-                           _mm256_extractf128_ps(vmax, 1));
-  fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0x4E));
-  fold = _mm_max_ps(fold, _mm_shuffle_ps(fold, fold, 0xB1));
-  const float scale = row_scale_for(_mm_cvtss_f32(fold));
-  const __m256 vinv = _mm256_set1_ps(1.0f / scale);
-  i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + i),
-        quantize16_avx2(_mm256_loadu_ps(s + i), _mm256_loadu_ps(s + i + 8),
-                        vinv));
+  // Transposed reduction: pairs of rows, then quads within each 128-bit
+  // half, then the two halves; lane r of abs_max is row r's maximum.
+  __m256 pairs[4];
+  for (std::size_t p = 0; p < 4; ++p) {
+    pairs[p] = _mm256_max_ps(_mm256_unpacklo_ps(vmax[2 * p], vmax[2 * p + 1]),
+                             _mm256_unpackhi_ps(vmax[2 * p], vmax[2 * p + 1]));
   }
-  if (i < n) {
-    // padded is a multiple of 16 above i, so the whole block fits.
-    const std::size_t rest = n - i;
-    const __m256 a =
-        _mm256_maskload_ps(s + i, lane_mask(std::min<std::size_t>(rest, 8)));
-    const __m256 b = _mm256_maskload_ps(
-        s + i + 8, lane_mask(rest > 8 ? rest - 8 : 0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        quantize16_avx2(a, b, vinv));
-    i += 16;
+  const __m256 quad_lo =
+      _mm256_max_ps(_mm256_shuffle_ps(pairs[0], pairs[1], 0x44),
+                    _mm256_shuffle_ps(pairs[0], pairs[1], 0xEE));
+  const __m256 quad_hi =
+      _mm256_max_ps(_mm256_shuffle_ps(pairs[2], pairs[3], 0x44),
+                    _mm256_shuffle_ps(pairs[2], pairs[3], 0xEE));
+  const __m256 abs_max =
+      _mm256_max_ps(_mm256_permute2f128_ps(quad_lo, quad_hi, 0x20),
+                    _mm256_permute2f128_ps(quad_lo, quad_hi, 0x31));
+  // row_scale_for per lane: a zero, underflowed or infinite quotient
+  // gives scale 1.
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 quotient = _mm256_div_ps(abs_max, _mm256_set1_ps(127.0f));
+  const __m256 usable = _mm256_and_ps(
+      _mm256_cmp_ps(quotient, _mm256_setzero_ps(), _CMP_GT_OQ),
+      _mm256_cmp_ps(quotient,
+                    _mm256_set1_ps(std::numeric_limits<float>::infinity()),
+                    _CMP_LT_OQ));
+  const __m256 scale = _mm256_blendv_ps(one, quotient, usable);
+  alignas(32) float block_scale[8];
+  alignas(32) float block_inv[8];
+  _mm256_store_ps(block_scale, scale);
+  _mm256_store_ps(block_inv, _mm256_div_ps(one, scale));
+  for (std::size_t r = 0; r < live; ++r) {
+    scales[r] = block_scale[r];
+    const __m256 vinv = _mm256_set1_ps(block_inv[r]);
+    const float* s = src[r];
+    std::int16_t* out = dst + r * padded;
+    i = 0;
+    for (; i + 16 <= depth; i += 16) {
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(out + i),
+          quantize16_avx2(_mm256_loadu_ps(s + i), _mm256_loadu_ps(s + i + 8),
+                          vinv));
+    }
+    if (i < depth) {
+      // padded is a multiple of 16 above i, so the whole block fits.
+      const std::size_t rest = depth - i;
+      const __m256 a = _mm256_maskload_ps(
+          s + i, lane_mask(std::min<std::size_t>(rest, 8)));
+      const __m256 b = _mm256_maskload_ps(
+          s + i + 8, lane_mask(rest > 8 ? rest - 8 : 0));
+      const __m256i keep = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(kCodeTailMask + 16 - rest));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(out + i),
+          _mm256_and_si256(quantize16_avx2(a, b, vinv), keep));
+      i += 16;
+    }
+    std::fill(out + i, out + padded, std::int16_t{0});
   }
-  std::fill(dst + i, dst + padded, std::int16_t{0});
-  return scale;
+}
+
+ANOLE_TARGET_AVX2
+void quantize_rows_int16_avx2(const float* x, std::size_t rows,
+                              std::size_t depth, std::size_t x_stride,
+                              std::int16_t* dst, std::size_t padded,
+                              float* scales) {
+  for (std::size_t r = 0; r < rows; r += 8) {
+    quantize_block8_avx2(x + r * x_stride, std::min<std::size_t>(rows - r, 8),
+                         depth, x_stride, dst + r * padded, padded,
+                         scales + r);
+  }
 }
 #endif  // ANOLE_HAVE_AVX2_TARGET
 
@@ -877,23 +1005,30 @@ void gemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t k,
   }
 }
 
-float quantize_row_int16(Level level, std::span<const float> src,
-                         std::int16_t* dst, std::size_t padded) {
-  ANOLE_DCHECK(padded >= src.size() && padded % kQgemmDepthMultiple == 0,
-               "quantize_row_int16: padded depth ", padded,
-               " must cover the row and be a multiple of ",
-               kQgemmDepthMultiple);
+void quantize_rows_int16(Level level, const float* x, std::size_t rows,
+                         std::size_t depth, std::size_t x_stride,
+                         std::int16_t* dst, std::size_t padded,
+                         float* scales) {
+  ANOLE_DCHECK(padded >= depth && padded % kQgemmDepthMultiple == 0 &&
+                   (rows <= 1 || x_stride >= depth),
+               "quantize_rows_int16: padded depth ", padded, " and row stride ",
+               x_stride, " must cover depth ", depth,
+               ", and padded must be a multiple of ", kQgemmDepthMultiple);
   switch (level) {
 #if ANOLE_HAVE_AVX2_TARGET
     case Level::kAVX2:
-      return quantize_row_int16_avx2(src, dst, padded);
+      quantize_rows_int16_avx2(x, rows, depth, x_stride, dst, padded, scales);
+      return;
 #endif
 #if defined(__SSE2__)
     case Level::kSSE2:
-      return quantize_row_int16_sse2(src, dst, padded);
+      quantize_rows_int16_sse2(x, rows, depth, x_stride, dst, padded, scales);
+      return;
 #endif
     default:
-      return quantize_row_int16_scalar(src, dst, padded);
+      quantize_rows_int16_scalar(x, rows, depth, x_stride, dst, padded,
+                                 scales);
+      return;
   }
 }
 

@@ -107,12 +107,19 @@ inline float row_scale_for(float abs_max) {
   return scale;
 }
 
-/// Quantizes one fp32 row into int8 codes stored as int16 (the pmaddwd
-/// idiom's input), zero-filling [src.size(), padded), and returns the
-/// symmetric row scale. `padded` must cover the row and be a multiple of
-/// kQgemmDepthMultiple. Codes and scale are identical at every level.
-float quantize_row_int16(Level level, std::span<const float> src,
-                         std::int16_t* dst, std::size_t padded);
+/// Quantizes `rows` fp32 rows of `depth` elements, row r read at
+/// x + r*x_stride, into int8 codes stored as int16 (the pmaddwd idiom's
+/// input) at dst + r*padded, zero-filling [depth, padded) of each, and
+/// writes row r's symmetric scale to scales[r]. `padded` must cover the
+/// depth and be a multiple of kQgemmDepthMultiple; `x_stride` must cover
+/// the depth. The vector levels work on blocks of rows (8 at AVX2, 4 at
+/// SSE2), so a block shares one reduction and one division for its
+/// scales; maximum and IEEE division do not depend on that grouping, so
+/// codes and scales are identical at every level.
+void quantize_rows_int16(Level level, const float* x, std::size_t rows,
+                         std::size_t depth, std::size_t x_stride,
+                         std::int16_t* dst, std::size_t padded,
+                         float* scales);
 
 /// Computes rows [ilo, ihi) of the int8 GEMM with fused dequant + bias:
 /// py[i*n + j] = float(dot(x row i, channel j)) * (xscale[i] * pscale[j])

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "nn/quantize.hpp"
 #include "eval/f1_series.hpp"
 #include "nn/serialize.hpp"
+#include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace anole::core {
@@ -589,6 +594,47 @@ TEST_F(ArtifactTest, EngineReportsActivePrecision) {
   EXPECT_EQ(engine.quantized_frames(), served_quantized);
   if (report.rejected_detectors == 0) {
     EXPECT_EQ(served_quantized, 20u);
+  }
+}
+
+TEST_F(ArtifactTest, MemBudgetEnvRejectsBudgetsBeyondTheByteCount) {
+  // ANOLE_MEM_BUDGET_MB converts paper MB (one full model = 40) into a
+  // 64-bit byte count. A non-finite value, or one whose byte count does
+  // not fit in 64 bits, used to reach a double-to-uint64 conversion
+  // (undefined behaviour); it must fail naming the variable instead.
+  const char* saved = std::getenv("ANOLE_MEM_BUDGET_MB");
+  const std::string saved_value = saved == nullptr ? "" : saved;
+  std::uint64_t reference_bytes = 0;
+  for (std::size_t m = 0; m < system_->repository.size(); ++m) {
+    reference_bytes = std::max(reference_bytes,
+                               system_->repository.detector(m).weight_bytes());
+  }
+  for (const char* bad : {"inf", "-inf", "nan", "1e300", "1e30", "0", "-5",
+                          "abc", "12MB"}) {
+    ::setenv("ANOLE_MEM_BUDGET_MB", bad, 1);
+    try {
+      AnoleEngine engine(*system_, CacheConfig{});
+      ADD_FAILURE() << "accepted ANOLE_MEM_BUDGET_MB=" << bad;
+    } catch (const ContractViolation& error) {
+      EXPECT_NE(std::string(error.what()).find("ANOLE_MEM_BUDGET_MB"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  ::setenv("ANOLE_MEM_BUDGET_MB", "80", 1);
+  {
+    const AnoleEngine engine(*system_, CacheConfig{});
+    EXPECT_EQ(engine.cache().memory_budget_bytes(), 2 * reference_bytes);
+  }
+  ::setenv("ANOLE_MEM_BUDGET_MB", "", 1);
+  {
+    const AnoleEngine engine(*system_, CacheConfig{});
+    EXPECT_EQ(engine.cache().memory_budget_bytes(), 0u);
+  }
+  if (saved == nullptr) {
+    ::unsetenv("ANOLE_MEM_BUDGET_MB");
+  } else {
+    ::setenv("ANOLE_MEM_BUDGET_MB", saved_value.c_str(), 1);
   }
 }
 

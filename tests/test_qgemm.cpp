@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "nn/quantize.hpp"
@@ -342,58 +344,124 @@ TEST(QuantizedMatrix, PrepareIsIdempotentAndKeepsWireState) {
 }
 
 TEST(QuantizeRowInt16, SameCodesAndScaleAtEveryLevel) {
-  // Every row length from 0 to 40 crosses the vector bodies and their
-  // masked / stack-padded tails; non-finite elements follow one rule:
-  // NaN is left out of the scale and saturates to -127, +-Inf saturates.
+  // simd::quantize_rows_int16 quantizes blocks of rows (8 at AVX2, 4 at
+  // SSE2). Row counts 0-17 cover full blocks and every partial one, depths
+  // 0-48 cover the vector bodies and their masked / stack-padded tails,
+  // and the row stride is either the depth or 3 wider. Rows rotate
+  // through random values, a NaN, a NaN with +-Inf, -Inf alone, denormals
+  // (one row whose scale underflows to 1, one whose scale stays a
+  // denormal), and all zeros (with a -0). Non-finite elements follow one
+  // rule: NaN is left out of the scale and saturates to -127, +-Inf
+  // saturates. Every level must match the scalar level and the public
+  // int8 row quantizer, write each row's padding with zeros, and leave
+  // everything past the last row alone.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::int16_t kSentinel = 99;
   Rng rng(24);
-  for (std::size_t len = 0; len <= 40; ++len) {
-    for (int variant = 0; variant < 4; ++variant) {
-      std::vector<float> row(len);
-      for (auto& v : row) v = static_cast<float>(rng.normal());
-      if (len > 0 && variant == 1) row[len - 1] = nan;
-      if (len > 0 && variant == 2) row[rng.uniform_index(len)] = nan;
-      if (len > 1 && variant == 3) {
-        row[0] = nan;
-        row[len - 1] = rng.uniform() < 0.5 ? inf : -inf;
-      }
+  for (std::size_t rows = 0; rows <= 17; ++rows) {
+    for (std::size_t depth = 0; depth <= 48; ++depth) {
+      const std::size_t stride = depth + (rows + depth) % 2 * 3;
       const std::size_t padded =
-          (len + simd::kQgemmDepthMultiple - 1) / simd::kQgemmDepthMultiple *
+          (depth + simd::kQgemmDepthMultiple - 1) / simd::kQgemmDepthMultiple *
               simd::kQgemmDepthMultiple +
-          simd::kQgemmDepthMultiple;
-      std::vector<std::int16_t> want(padded, 99);
-      const float want_scale = simd::quantize_row_int16(
-          simd::Level::kScalar, row, want.data(), padded);
-      std::vector<std::int8_t> codes(len);
-      EXPECT_EQ(quantize_row_int8(row, codes), want_scale);
-      for (std::size_t i = 0; i < len; ++i) {
-        EXPECT_EQ(want[i], codes[i]) << "len " << len << " i " << i;
-        if (std::isnan(row[i])) {
-          EXPECT_EQ(want[i], -127);
-        } else if (std::isinf(row[i])) {
-          EXPECT_EQ(want[i], row[i] > 0 ? 127 : -127);
+          rows % 2 * simd::kQgemmDepthMultiple;
+      std::vector<float> x(rows * stride + 1, 7.0f);
+      for (std::size_t r = 0; r < rows; ++r) {
+        float* row = x.data() + r * stride;
+        for (std::size_t i = 0; i < depth; ++i) {
+          row[i] = static_cast<float>(rng.normal());
+        }
+        if (depth == 0) continue;
+        switch ((r + depth) % 7) {
+          case 1:
+            row[rng.uniform_index(depth)] = nan;
+            break;
+          case 2:
+            row[0] = nan;
+            row[depth - 1] = rng.uniform() < 0.5 ? inf : -inf;
+            break;
+          case 3:
+            row[rng.uniform_index(depth)] = -inf;
+            break;
+          case 4:
+            for (std::size_t i = 0; i < depth; ++i) {
+              row[i] = static_cast<float>(i % 3) * (i % 2 ? tiny : -tiny);
+            }
+            break;
+          case 5:
+            for (std::size_t i = 0; i < depth; ++i) row[i] *= 1e-39f;
+            break;
+          case 6:
+            std::fill(row, row + depth, 0.0f);
+            row[depth / 2] = -0.0f;
+            break;
+          default:
+            break;
         }
       }
-      for (std::size_t i = len; i < padded; ++i) EXPECT_EQ(want[i], 0);
+      std::vector<std::int16_t> want(rows * padded + 16, kSentinel);
+      std::vector<float> want_scales(rows + 1, -1.0f);
+      simd::quantize_rows_int16(simd::Level::kScalar, x.data(), rows, depth,
+                                stride, want.data(), padded,
+                                want_scales.data());
+      const std::string where =
+          "rows " + std::to_string(rows) + " depth " + std::to_string(depth);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::span<const float> row(x.data() + r * stride, depth);
+        std::vector<std::int8_t> codes(depth);
+        const float scale = quantize_row_int8(row, codes);
+        EXPECT_EQ(std::memcmp(&scale, &want_scales[r], sizeof(float)), 0)
+            << where << " row " << r;
+        for (std::size_t i = 0; i < depth; ++i) {
+          const std::int16_t got = want[r * padded + i];
+          EXPECT_EQ(got, codes[i]) << where << " row " << r << " i " << i;
+          if (std::isnan(row[i])) {
+            EXPECT_EQ(got, -127);
+          } else if (std::isinf(row[i])) {
+            EXPECT_EQ(got, row[i] > 0 ? 127 : -127);
+          }
+        }
+        for (std::size_t i = depth; i < padded; ++i) {
+          EXPECT_EQ(want[r * padded + i], 0) << where << " row " << r;
+        }
+      }
+      for (std::size_t i = rows * padded; i < want.size(); ++i) {
+        EXPECT_EQ(want[i], kSentinel) << where;
+      }
+      EXPECT_EQ(want_scales[rows], -1.0f) << where;
       for (const simd::Level level : available_levels()) {
-        std::vector<std::int16_t> got(padded, 99);
-        const float scale =
-            simd::quantize_row_int16(level, row, got.data(), padded);
-        EXPECT_EQ(std::memcmp(&scale, &want_scale, sizeof(float)), 0)
-            << simd::level_name(level) << " len " << len << " variant "
-            << variant;
-        EXPECT_EQ(got, want) << simd::level_name(level) << " len " << len
-                             << " variant " << variant;
+        std::vector<std::int16_t> got(want.size(), kSentinel);
+        std::vector<float> got_scales(rows + 1, -1.0f);
+        simd::quantize_rows_int16(level, x.data(), rows, depth, stride,
+                                  got.data(), padded, got_scales.data());
+        EXPECT_EQ(std::memcmp(got_scales.data(), want_scales.data(),
+                              got_scales.size() * sizeof(float)),
+                  0)
+            << simd::level_name(level) << " " << where;
+        EXPECT_EQ(got, want) << simd::level_name(level) << " " << where;
       }
     }
   }
   // A NaN leaves the finite maximum in charge of the scale.
   const std::vector<float> row = {nan, 2.0f, -1.0f};
   std::vector<std::int16_t> codes(simd::kQgemmDepthMultiple);
-  EXPECT_EQ(simd::quantize_row_int16(simd::Level::kScalar, row, codes.data(),
-                                     codes.size()),
-            2.0f / 127.0f);
+  for (const simd::Level level : available_levels()) {
+    float scale = 0.0f;
+    simd::quantize_rows_int16(level, row.data(), 1, row.size(), row.size(),
+                              codes.data(), codes.size(), &scale);
+    EXPECT_EQ(scale, 2.0f / 127.0f) << simd::level_name(level);
+  }
+  // A maximum of at most 63 denormal steps gives a zero quotient and
+  // scale 1; a larger denormal maximum keeps its denormal scale.
+  float scale = 0.0f;
+  const std::vector<float> underflow = {63 * tiny, -tiny};
+  simd::quantize_rows_int16(simd::Level::kScalar, underflow.data(), 1, 2, 2,
+                            codes.data(), codes.size(), &scale);
+  EXPECT_EQ(scale, 1.0f);
+  EXPECT_EQ(simd::row_scale_for(1e-39f), 1e-39f / 127.0f);
+  EXPECT_GT(1e-39f / 127.0f, 0.0f);
   EXPECT_EQ(simd::quantize_code(nan, 1.0f), -127);
   EXPECT_EQ(simd::quantize_code(-inf, 1.0f), -127);
 }
