@@ -488,7 +488,7 @@ EngineBatchSample time_engine_batch(OspArtifacts& artifacts, int reps) {
   sample.frames = frames.size();
   sample.seconds = 1e30;
   for (int r = 0; r < reps; ++r) {
-    // A fresh engine per rep: cache and smoothing state start identical,
+    // A fresh engine per rep: cache and ranking state start identical,
     // so every rep (and every thread count) replays the same plan.
     core::AnoleEngine engine(artifacts.system,
                              core::CacheConfig{.capacity = 5});

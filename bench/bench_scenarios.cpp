@@ -1,26 +1,21 @@
-// Hostile-world scenario bench: the four scenario packs (drift, degrade,
-// bursts, diurnal) against three runtime-response postures — no-response
-// (a frozen serving config: heavy suitability smoothing plus a fixed
-// confidence floor calibrated offline), governor-only, and the drift
-// responder (CUSUM detector -> floor recalibration + smoothing decay +
-// forced re-rank). Reports an F1/latency matrix per pack, then pins the
-// robustness contracts: scenario trace hashes replay bitwise across
-// reruns and 1-vs-4 worker threads, ANOLE_DRIFT=0 reproduces the
-// unadapted timeline exactly, and on the drift pack the responder
-// recovers at least half of the F1 the frozen baseline loses against a
-// fully adaptive ceiling on the same stream. Writes BENCH_scenarios.json.
-#include <algorithm>
+// Hostile-world scenario bench: a clean stream and the four scenario
+// packs (drift, degrade, bursts, diurnal) served under two postures — the
+// paper default (per-frame MSS ranking, no confidence floor) and the
+// paper default plus the overload governor. Reports an F1/latency row per
+// pack and posture, then pins two contracts: scenario trace hashes replay
+// bitwise across reruns and 1-vs-4 worker threads, and on every pack the
+// governor cuts deadline overruns at least 3x. Writes
+// BENCH_scenarios.json.
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/drift.hpp"
 #include "core/governor.hpp"
 #include "detect/detection.hpp"
 #include "device/session.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "world/scenario.hpp"
 
@@ -28,6 +23,8 @@ namespace {
 
 constexpr double kDeadlineMs = 33.3;  // 30 FPS budget
 constexpr std::size_t kStreamLength = 900;
+/// Minimum overrun reduction the governor must achieve on every pack.
+constexpr std::size_t kMinOverrunCut = 3;
 
 struct PackSpec {
   const char* name;
@@ -49,39 +46,16 @@ struct RunStats {
   std::size_t deadline_overruns = 0;
   std::size_t dropped_frames = 0;
   std::size_t model_switches = 0;
-  std::size_t drift_detections = 0;
-  std::size_t drift_responses = 0;
   std::uint64_t timeline_hash = 0;  // FNV-1a over (served, dropped) pairs
 };
-
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xFFu;
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
-/// Detector tuned for the frozen baseline's smoothed-confidence scale
-/// (~0.2): sensitive enough to fire within the first few hundred frames
-/// of a sustained depression, separated enough not to thrash.
-anole::core::DriftConfig bench_drift_config() {
-  anole::core::DriftConfig config;
-  config.window = 48;
-  config.baseline_window = 48;
-  config.cusum_slack = 0.02;
-  config.cusum_threshold = 0.6;
-  config.min_separation = 64;
-  return config;
-}
 
 }  // namespace
 
 int main() {
   using namespace anole;
   bench::print_banner("Hostile-world scenarios",
-                      "scenario packs x {no-response, governor-only, "
-                      "drift-responder} with drift detection contracts");
+                      "scenario packs x {paper default, paper + governor} "
+                      "with replay and overrun-cut contracts");
 
   auto stack = bench::train_standard_stack();
   const auto tx2 = device::DeviceProfile::jetson_tx2_nx(
@@ -91,44 +65,23 @@ int main() {
   const std::uint64_t decision_flops =
       stack.system.decision->flops_per_sample();
 
-  // The frozen serving config: smoothing heavy enough that rankings
-  // effectively pin after warmup (the no-response pathology the drift
-  // responder exists to repair) plus a floor calibrated for the clean
-  // stream's raw confidence scale.
-  const auto frozen_config = [&]() {
-    core::EngineConfig config;
-    config.cache = bench::standard_cache_config();
-    config.suitability_smoothing = 0.98;
-    config.confidence_floor = 0.35;
-    return config;
-  };
-  // The adaptive ceiling: pure per-frame selection, no floor.
-  const auto adaptive_config = [&]() {
-    core::EngineConfig config;
-    config.cache = bench::standard_cache_config();
-    return config;
-  };
-
-  enum class Posture { kNoResponse, kGovernorOnly, kDriftResponder };
-  const auto run = [&](const world::ScenarioStream& stream,
-                       core::EngineConfig config, Posture posture) {
+  // The paper default: per-frame MSS ranking with no confidence floor,
+  // optionally under the overload governor.
+  const auto run = [&](const world::ScenarioStream& stream, bool governed) {
     core::RuntimeGovernor governor;
-    core::DriftDetector detector(bench_drift_config());
-    if (posture == Posture::kGovernorOnly) config.governor = &governor;
-    if (posture == Posture::kDriftResponder) config.drift = &detector;
+    core::EngineConfig config;
+    config.cache = bench::standard_cache_config();
+    if (governed) config.governor = &governor;
     core::AnoleEngine engine(stack.system, config);
-    device::DeviceSession session(
-        tx2, 1.0, nullptr,
-        posture == Posture::kGovernorOnly ? &governor : nullptr);
+    device::DeviceSession session(tx2, 1.0, nullptr,
+                                  governed ? &governor : nullptr);
     detect::MatchCounts counts;
-    RunStats stats;
-    stats.timeline_hash = 0xCBF29CE484222325ULL;
+    Fnv1a timeline;
     for (const world::Frame& frame : stream.clip.frames) {
       const auto result = engine.process(frame);
       counts += detect::match_detections(result.detections, frame.objects);
-      stats.timeline_hash = fnv_mix(stats.timeline_hash, result.served_model);
-      stats.timeline_hash =
-          fnv_mix(stats.timeline_hash, result.health.frame_dropped ? 1 : 0);
+      timeline.mix(result.served_model);
+      timeline.mix(result.health.frame_dropped ? 1 : 0);
       if (result.health.frame_dropped) continue;
       const double weight_mb = memory.load_mb(
           stack.system.repository.detector(result.served_model)
@@ -151,14 +104,14 @@ int main() {
       cost.deadline_ms = kDeadlineMs;
       (void)session.process(cost);
     }
+    RunStats stats;
     stats.f1 = counts.f1();
     stats.mean_latency_ms = session.mean_latency_ms();
     stats.p95_latency_ms = session.p95_latency_ms();
     stats.deadline_overruns = session.deadline_overruns();
     stats.dropped_frames = engine.dropped_frames();
     stats.model_switches = engine.model_switches();
-    stats.drift_detections = detector.detections();
-    stats.drift_responses = engine.drift_responses();
+    stats.timeline_hash = timeline.value();
     return stats;
   };
 
@@ -188,59 +141,42 @@ int main() {
     streams.push_back(std::move(stream));
   }
 
-  // ---- The pack x posture matrix.
-  std::vector<std::vector<RunStats>> matrix;
+  // ---- The pack x posture matrix, and contract 2: the governor cuts
+  // deadline overruns at least kMinOverrunCut-fold on every pack.
+  struct PackRow {
+    RunStats paper;
+    RunStats governed;
+    bool cut_ok = false;
+  };
+  std::vector<PackRow> rows;
+  bool overrun_cut_ok = true;
   TablePrinter table({"pack", "posture", "F1", "mean ms", "p95 ms",
-                      "overruns", "dropped", "switches", "drift resp"});
+                      "overruns", "dropped", "switches"});
+  const auto add_row = [&table](const char* pack, const char* posture,
+                                const RunStats& stats) {
+    table.add_row({pack, posture, format_double(stats.f1, 3),
+                   format_double(stats.mean_latency_ms, 1),
+                   format_double(stats.p95_latency_ms, 1),
+                   std::to_string(stats.deadline_overruns),
+                   std::to_string(stats.dropped_frames),
+                   std::to_string(stats.model_switches)});
+  };
   for (std::size_t p = 0; p < streams.size(); ++p) {
-    std::vector<RunStats> row;
-    row.push_back(run(streams[p], frozen_config(), Posture::kNoResponse));
-    row.push_back(run(streams[p], frozen_config(), Posture::kGovernorOnly));
-    row.push_back(run(streams[p], frozen_config(), Posture::kDriftResponder));
-    const char* postures[] = {"no-response", "governor-only",
-                              "drift-responder"};
-    for (std::size_t v = 0; v < row.size(); ++v) {
-      table.add_row({kPacks[p].name, postures[v], format_double(row[v].f1, 3),
-                     format_double(row[v].mean_latency_ms, 1),
-                     format_double(row[v].p95_latency_ms, 1),
-                     std::to_string(row[v].deadline_overruns),
-                     std::to_string(row[v].dropped_frames),
-                     std::to_string(row[v].model_switches),
-                     std::to_string(row[v].drift_responses)});
-    }
-    matrix.push_back(std::move(row));
+    PackRow row{run(streams[p], false), run(streams[p], true)};
+    row.cut_ok = row.governed.deadline_overruns * kMinOverrunCut <=
+                 row.paper.deadline_overruns;
+    overrun_cut_ok = overrun_cut_ok && row.cut_ok;
+    add_row(kPacks[p].name, "paper", row.paper);
+    add_row(kPacks[p].name, "paper+governor", row.governed);
+    rows.push_back(row);
   }
   std::printf("%s", table.to_string().c_str());
-
-  // ---- Contract 2: on the drift pack the responder recovers >= 50% of
-  // the F1 the frozen baseline loses against the adaptive ceiling.
-  const std::size_t drift_idx = 1;  // kPacks order
-  const RunStats adaptive =
-      run(streams[drift_idx], adaptive_config(), Posture::kNoResponse);
-  const RunStats& frozen = matrix[drift_idx][0];
-  const RunStats& responder = matrix[drift_idx][2];
-  const double lost = adaptive.f1 - frozen.f1;
-  const double recovered = responder.f1 - frozen.f1;
-  const double recovery = lost > 0.0 ? recovered / lost : 1.0;
-  const bool recovery_ok = recovery >= 0.5;
-  std::printf(
-      "drift pack F1: adaptive ceiling %.3f, frozen %.3f, responder %.3f "
-      "(%zu detections)\n",
-      adaptive.f1, frozen.f1, responder.f1, responder.drift_responses);
-  std::printf("drift F1 recovery: %.1f%% (need >= 50%%): %s\n",
-              100.0 * recovery, recovery_ok ? "ok" : "FAIL");
-
-  // ---- Contract 3: ANOLE_DRIFT=0 detaches the responder and reproduces
-  // the no-response timeline exactly.
-  ::setenv("ANOLE_DRIFT", "0", 1);
-  const RunStats detached =
-      run(streams[drift_idx], frozen_config(), Posture::kDriftResponder);
-  ::unsetenv("ANOLE_DRIFT");
-  const bool detach_exact =
-      detached.timeline_hash == frozen.timeline_hash &&
-      detached.f1 == frozen.f1 && detached.drift_responses == 0;
-  std::printf("ANOLE_DRIFT=0 reproduces unadapted timeline: %s\n",
-              detach_exact ? "yes" : "NO (detach regression!)");
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    std::printf("%s: governor overruns %zu -> %zu (need >= %zux cut): %s\n",
+                kPacks[p].name, rows[p].paper.deadline_overruns,
+                rows[p].governed.deadline_overruns, kMinOverrunCut,
+                rows[p].cut_ok ? "ok" : "FAIL");
+  }
   std::printf("scenario trace hashes rerun/thread invariant: %s\n",
               scenario_replay_identical ? "yes" : "NO (determinism bug!)");
 
@@ -264,10 +200,6 @@ int main() {
                  stats.dropped_frames);
     std::fprintf(out, "        \"model_switches\": %zu,\n",
                  stats.model_switches);
-    std::fprintf(out, "        \"drift_detections\": %zu,\n",
-                 stats.drift_detections);
-    std::fprintf(out, "        \"drift_responses\": %zu,\n",
-                 stats.drift_responses);
     std::fprintf(out, "        \"timeline_hash\": \"%016llx\"\n",
                  static_cast<unsigned long long>(stats.timeline_hash));
     std::fprintf(out, "      }%s\n", suffix);
@@ -277,26 +209,24 @@ int main() {
   std::fprintf(out, "  \"deadline_ms\": %.1f,\n", kDeadlineMs);
   std::fprintf(out, "  \"scenario_replay_identical\": %s,\n",
                scenario_replay_identical ? "true" : "false");
-  std::fprintf(out, "  \"drift_detach_exact\": %s,\n",
-               detach_exact ? "true" : "false");
-  std::fprintf(out, "  \"drift_f1_adaptive_ceiling\": %.4f,\n", adaptive.f1);
-  std::fprintf(out, "  \"drift_f1_recovery\": %.4f,\n", recovery);
-  std::fprintf(out, "  \"drift_recovery_ok\": %s,\n",
-               recovery_ok ? "true" : "false");
+  std::fprintf(out, "  \"min_overrun_cut\": %zu,\n", kMinOverrunCut);
+  std::fprintf(out, "  \"overrun_cut_ok\": %s,\n",
+               overrun_cut_ok ? "true" : "false");
   std::fprintf(out, "  \"packs\": {\n");
   for (std::size_t p = 0; p < streams.size(); ++p) {
     std::fprintf(out, "    \"%s\": {\n", kPacks[p].name);
     std::fprintf(out, "      \"spec\": \"%s\",\n", kPacks[p].spec);
     std::fprintf(out, "      \"scenario_trace_hash\": \"%016llx\",\n",
                  static_cast<unsigned long long>(scenario_hashes[p]));
-    emit("no_response", matrix[p][0], ",");
-    emit("governor_only", matrix[p][1], ",");
-    emit("drift_responder", matrix[p][2], "");
+    std::fprintf(out, "      \"overrun_cut_ok\": %s,\n",
+                 rows[p].cut_ok ? "true" : "false");
+    emit("paper", rows[p].paper, ",");
+    emit("paper_governor", rows[p].governed, "");
     std::fprintf(out, "    }%s\n", p + 1 < streams.size() ? "," : "");
   }
   std::fprintf(out, "  }\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote BENCH_scenarios.json\n");
-  return (scenario_replay_identical && detach_exact && recovery_ok) ? 0 : 1;
+  return (scenario_replay_identical && overrun_cut_ok) ? 0 : 1;
 }

@@ -134,7 +134,7 @@ stage_scenarios() {
   # code that composes hostile streams (or reads ANOLE_SCENARIO at all)
   # must parse this spec, stay deterministic, and leave tests that never
   # consult it untouched. ASan+UBSan watch the composition and the
-  # drift-response paths.
+  # engine serving the composed streams.
   ANOLE_SCENARIO="seed=97,drift=0.5,degrade=0.5x2,bursts=0.2,diurnal=0.5" \
     ctest --test-dir build-asan --output-on-failure -j "$jobs"
 }

@@ -22,7 +22,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
-from anole_analyze import contracts  # noqa: E402
+from anole_analyze import contracts, rules  # noqa: E402
 from anole_analyze.driver import run_analysis  # noqa: E402
 from anole_analyze.lexer import code_tokens, lex  # noqa: E402
 
@@ -176,14 +176,20 @@ class TestDeepRules(unittest.TestCase):
 
     def test_env_var_registry(self):
         got = findings_for("env-var-registry")
-        # bad_env.cpp: undocumented knob. README.md:1: ANOLE_DRIFT is a
-        # required knob with no getenv site in the fixture tree
-        # (ANOLE_SCENARIO is registered by scenario_env.cpp, so it does
-        # not fire).
-        self.assertEqual(got, {
-            "src/core/bad_env.cpp": [11],
-            "README.md": [1],
-        })
+        # bad_env.cpp: undocumented knob. The required knob ANOLE_SCENARIO
+        # is read by scenario_env.cpp, so the required-var check is quiet.
+        self.assertEqual(got, {"src/core/bad_env.cpp": [11]})
+
+    def test_required_env_vars(self):
+        # Present knobs stay quiet; each missing one fires at README.md:1.
+        src_env_vars = {"ANOLE_SCENARIO", "ANOLE_THREADS"}
+        self.assertEqual(
+            list(rules.rule_required_env_vars(src_env_vars)), [])
+        got = list(rules.rule_required_env_vars(
+            src_env_vars, required=("ANOLE_SCENARIO", "ANOLE_UNREAD")))
+        self.assertEqual([(f.file, f.line, f.rule) for f in got],
+                         [("README.md", 1, "env-var-registry")])
+        self.assertIn("ANOLE_UNREAD", got[0].message)
 
     def test_no_naked_intrinsics(self):
         got = findings_for("no-naked-intrinsics")

@@ -64,10 +64,6 @@ AnoleEngine::AnoleEngine(const AnoleSystem& system,
   ANOLE_CHECK(!system.repository.empty(),
               "AnoleEngine: empty model repository");
   ANOLE_CHECK_NOTNULL(system.decision, "AnoleEngine: missing decision model");
-  ANOLE_CHECK(config.suitability_smoothing >= 0.0 &&
-                  config.suitability_smoothing < 1.0,
-              "AnoleEngine: smoothing must be in [0, 1), got ",
-              config.suitability_smoothing);
   ANOLE_CHECK_GE(config.confidence_floor, 0.0,
                  "AnoleEngine: negative confidence floor");
   ANOLE_CHECK_EQ(system.decision->model_count(), system.repository.size(),
@@ -116,14 +112,11 @@ AnoleEngine::AnoleEngine(const AnoleSystem& system,
 
   governor_ =
       core::governor_enabled_from_env() ? config.governor : nullptr;
-  drift_ = core::drift_enabled_from_env() ? config.drift : nullptr;
-  effective_floor_ = config.confidence_floor;
-  effective_smoothing_ = config.suitability_smoothing;
 }
 
 AnoleEngine::AnoleEngine(const AnoleSystem& system,
                          const CacheConfig& cache_config)
-    : AnoleEngine(system, EngineConfig{cache_config, 0.0, 0.0, nullptr}) {}
+    : AnoleEngine(system, EngineConfig{cache_config, 0.0, nullptr}) {}
 
 EngineResult AnoleEngine::process(const world::Frame& frame) {
   return std::move(process_batch({&frame}).front());
@@ -144,8 +137,8 @@ std::vector<EngineResult> AnoleEngine::process_batch(
   const Tensor descriptors = featurizer_.featurize_batch(frames);
   const Tensor probs = system_->decision->suitability(descriptors);
   // Plan stage, sequential in frame order: every piece of mutable engine
-  // state — smoothing, governor, cache admission, fault draws, counters —
-  // advances here exactly as the frame-by-frame path would.
+  // state — governor, ranking reuse, cache admission, fault draws,
+  // counters — advances here exactly as the frame-by-frame path would.
   results.resize(frames.size());
   constexpr std::size_t kNoDetect = ~std::size_t{0};
   std::vector<std::size_t> planned(frames.size(), kNoDetect);
@@ -183,8 +176,8 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
   result.governor_state = directive.state;
 
   if (directive.drop_frame) {
-    // Shed outright: no smoothing update, no cache admission, no fault
-    // draws, no detector — the frame's only trace is this record. The
+    // Shed outright: no ranking, no cache admission, no fault draws, no
+    // detector — the frame's only trace is this record. The
     // previous served model is reported so downstream accounting has a
     // stable id.
     result.health.frame_dropped = true;
@@ -195,36 +188,13 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
     return std::nullopt;
   }
 
-  // Drift response (DESIGN.md §14), applied forward: a detection observed
-  // on an earlier frame lands here, before this frame's ranking, so the
-  // response never re-runs a ranking (and its fault draws) mid-frame.
-  // Recalibrate the floor, decay the smoothing alpha, and drop every
-  // piece of stale scene evidence — the smoothed suitability state and
-  // the cached ranking — so the next sort re-ranks all models fresh even
-  // while the governor is throttling ranking refreshes.
-  if (drift_ != nullptr && drift_->response_pending()) {
-    const DriftResponse response = drift_->take_response();
-    result.health.drift_detected = true;
-    ++drift_responses_;
-    if (response.recalibrated_floor >= 0.0 &&
-        config_.confidence_floor > 0.0) {
-      effective_floor_ = response.recalibrated_floor;
-      result.health.drift_recalibrated = true;
-      ++drift_recalibrations_;
-    }
-    effective_smoothing_ =
-        config_.suitability_smoothing * response.smoothing_scale;
-    smoothed_suitability_.clear();
-    last_ranking_.clear();
-  }
-
   const bool reuse_ranking =
       !directive.refresh_ranking && last_ranking_.size() == n;
   std::vector<std::size_t> ranking;
   if (reuse_ranking) {
     // Throttled MSS: replay the previous frame's ranking (post
     // confidence-fallback rotation) without running the decision tail —
-    // no smoothing update, no decision fault draw, no top1 credit.
+    // no decision fault draw, no top1 credit.
     ranking = last_ranking_;
     result.ranking_reused = true;
     ++reused_ranking_frames_;
@@ -268,15 +238,6 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
     detect_model = admission.served_model;
   }
 
-  // Drift observation: one sample per decision-model run. Reused rankings
-  // and shed frames carry no new decision evidence, so they are not fed —
-  // the detector's observation stream (and trace hash) is a pure function
-  // of the fresh-ranking sequence, identical across thread counts.
-  if (drift_ != nullptr && !reuse_ranking) {
-    drift_->observe_confidence(result.top1_confidence, result.low_confidence,
-                               admission.served_model);
-  }
-
   result.model_switched =
       last_served_.has_value() && *last_served_ != admission.served_model;
   if (result.model_switched) ++switches_;
@@ -287,7 +248,8 @@ std::optional<std::size_t> AnoleEngine::plan_with_suitability(
 
 std::vector<std::size_t> AnoleEngine::rank_suitability(
     EngineResult& result, std::span<const float> probs) {
-  // MSS tail: optional temporal smoothing of the suitability vector.
+  // MSS tail: the paper ranks each frame's own suitability vector; no
+  // state carries over from earlier frames.
   const std::size_t n = system_->repository.size();
   std::vector<double> suitability(probs.begin(), probs.end());
   // Injected decision corruption: one entry turns non-finite, exercising
@@ -299,7 +261,7 @@ std::vector<std::size_t> AnoleEngine::rank_suitability(
   }
   // NaN/Inf guard: a non-finite suitability entry is treated as "below
   // the confidence floor" — sanitized to rank last — instead of poisoning
-  // the sort and the smoothed state.
+  // the sort.
   for (double& value : suitability) {
     if (!std::isfinite(value)) {
       value = kCorruptSuitability;
@@ -308,31 +270,22 @@ std::vector<std::size_t> AnoleEngine::rank_suitability(
   }
   if (result.health.nonfinite_suitability) ++nonfinite_frames_;
 
-  if (smoothed_suitability_.size() != n) {
-    smoothed_suitability_ = suitability;
-  } else {
-    const double alpha = effective_smoothing_;
-    for (std::size_t m = 0; m < n; ++m) {
-      smoothed_suitability_[m] =
-          alpha * smoothed_suitability_[m] + (1.0 - alpha) * suitability[m];
-    }
-  }
   std::vector<std::size_t> ranking(n);
   std::iota(ranking.begin(), ranking.end(), std::size_t{0});
   std::sort(ranking.begin(), ranking.end(), [&](std::size_t a, std::size_t b) {
-    if (smoothed_suitability_[a] != smoothed_suitability_[b]) {
-      return smoothed_suitability_[a] > smoothed_suitability_[b];
+    if (suitability[a] != suitability[b]) {
+      return suitability[a] > suitability[b];
     }
     return a < b;  // deterministic tie-break
   });
   result.top1_model = ranking[0];
-  result.top1_confidence = smoothed_suitability_[ranking[0]];
+  result.top1_confidence = suitability[ranking[0]];
   ++top1_counts_[ranking[0]];
 
   // Case-3 fallback: no model looks suitable — or the whole vector was
   // corrupt (top-1 below zero) — use the broadest one.
-  if ((effective_floor_ > 0.0 &&
-       result.top1_confidence < effective_floor_) ||
+  if ((config_.confidence_floor > 0.0 &&
+       result.top1_confidence < config_.confidence_floor) ||
       result.top1_confidence < 0.0) {
     result.low_confidence = true;
     ++low_confidence_;

@@ -1,8 +1,9 @@
 // Online Model Inference (OMI, paper section V): per-frame model selection
-// (MSS), cache-based deployment (CMD), and model inference (MI), plus two
-// optional extensions the paper motivates: a decision-confidence fallback
+// (MSS), cache-based deployment (CMD), and model inference (MI), plus one
+// optional extension the paper motivates: a decision-confidence fallback
 // for samples outside every model's distribution (problem-formulation
-// case 3) and temporal smoothing of the suitability vector.
+// case 3). MSS keeps no temporal state: every frame is ranked from its
+// own suitability vector alone.
 //
 // The online path is fault-tolerant (DESIGN.md §9): model loads can fail
 // (bounded retry + quarantine in the cache), suitability vectors are
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "core/decision_model.hpp"
-#include "core/drift.hpp"
 #include "core/governor.hpp"
 #include "core/model_cache.hpp"
 #include "core/repository.hpp"
@@ -44,12 +44,7 @@ struct AnoleSystem {
 
 struct EngineConfig {
   CacheConfig cache;
-  /// Exponential smoothing factor applied to the suitability vector across
-  /// consecutive frames: s_t = alpha * s_{t-1} + (1-alpha) * p_t.
-  /// 0 reproduces the paper's pure per-frame selection; ~0.5 damps model
-  /// thrashing on noisy streams at the cost of slower scene switches.
-  double suitability_smoothing = 0.0;
-  /// When the (smoothed) top-1 suitability probability falls below this
+  /// When the top-1 suitability probability falls below this
   /// floor, the frame is treated as outside every Psi_i and served by the
   /// broadest model in the repository (the paper's case-3 best effort).
   /// 0 disables the fallback.
@@ -63,13 +58,6 @@ struct EngineConfig {
   /// ANOLE_GOVERNOR=0, reproducing ungoverned behavior exactly. Not
   /// owned; must outlive the engine.
   core::RuntimeGovernor* governor = nullptr;
-  /// Drift detector fed one confidence observation per decision-model run
-  /// (DESIGN.md §14); its responses recalibrate the confidence floor,
-  /// decay the smoothing alpha, and force a re-rank. Null (the default)
-  /// means no drift response; the pointer is also ignored when
-  /// ANOLE_DRIFT=0, reproducing the unadapted timeline exactly. Not
-  /// owned; must outlive the engine.
-  core::DriftDetector* drift = nullptr;
 };
 
 /// Everything that happened while processing one frame.
@@ -100,11 +88,6 @@ struct EngineResult {
     /// suppressed the swap (or the byte budget refused an oversized
     /// load) and the best resident model served instead.
     bool swap_suppressed = false;
-    /// True when a pending drift response was applied while planning this
-    /// frame (smoothed state reset, ranking refresh forced).
-    bool drift_detected = false;
-    /// True when that response also recalibrated the confidence floor.
-    bool drift_recalibrated = false;
   };
 
   std::vector<detect::Detection> detections;
@@ -141,8 +124,8 @@ class AnoleEngine {
 
   /// Processes `frames` in stream order in three stages. Featurization
   /// and the decision model's embedding run once over the whole batch
-  /// (batched matmuls). The stateful plan stage (temporal smoothing,
-  /// governor directives, cache admission, every fault draw and counter)
+  /// (batched matmuls). The stateful plan stage (governor directives,
+  /// ranking reuse, cache admission, every fault draw and counter)
   /// then runs sequentially in frame order. Finally the detect stage fans
   /// out across frames through the const GridDetector::infer path —
   /// per-frame detections depend only on that frame's planned model, and
@@ -198,21 +181,6 @@ class AnoleEngine {
   /// ANOLE_GOVERNOR=0).
   core::RuntimeGovernor* governor() const { return governor_; }
 
-  /// --- drift introspection (DESIGN.md §14) ---
-
-  /// Frames whose planning applied a drift response.
-  std::size_t drift_responses() const { return drift_responses_; }
-  /// Drift responses that recalibrated the confidence floor.
-  std::size_t drift_recalibrations() const { return drift_recalibrations_; }
-  /// The confidence floor currently in effect (config value until a drift
-  /// response recalibrates it).
-  double effective_confidence_floor() const { return effective_floor_; }
-  /// The smoothing alpha currently in effect (config value scaled down by
-  /// drift responses).
-  double effective_smoothing() const { return effective_smoothing_; }
-  /// The drift detector in effect; null when detached (none configured or
-  /// ANOLE_DRIFT=0).
-  core::DriftDetector* drift() const { return drift_; }
   /// True when the M_decision head currently carries int8 layers.
   bool decision_quantized() const;
   /// True when detector `model` currently carries int8 layers.
@@ -232,7 +200,7 @@ class AnoleEngine {
   std::optional<std::size_t> plan_with_suitability(
       EngineResult& result, std::span<const float> probs);
 
-  /// MSS tail: smoothing, NaN guard, ranking sort, confidence fallback.
+  /// MSS tail: NaN guard, ranking sort, confidence fallback.
   /// Fills the top-1 fields of `result` and stores the ranking for
   /// throttled reuse.
   std::vector<std::size_t> rank_suitability(EngineResult& result,
@@ -244,7 +212,6 @@ class AnoleEngine {
   ModelCache cache_;
   world::FrameFeaturizer featurizer_;
   std::vector<std::size_t> top1_counts_;
-  std::vector<double> smoothed_suitability_;
   std::size_t fallback_model_ = 0;
   std::size_t switches_ = 0;
   std::size_t frames_ = 0;
@@ -259,14 +226,6 @@ class AnoleEngine {
   std::size_t dropped_frames_ = 0;
   std::size_t swap_suppressed_frames_ = 0;
   std::size_t reused_ranking_frames_ = 0;
-  /// --- drift-response state (DESIGN.md §14) ---
-  core::DriftDetector* drift_ = nullptr;
-  std::size_t drift_responses_ = 0;
-  std::size_t drift_recalibrations_ = 0;
-  /// Floor/alpha currently in effect; start at the config values and move
-  /// only when a drift response lands.
-  double effective_floor_ = 0.0;
-  double effective_smoothing_ = 0.0;
   /// Previous frame's ranking (post confidence-fallback rotation) and
   /// top-1 fields, replayed on throttled ranking reuse.
   std::vector<std::size_t> last_ranking_;

@@ -10,12 +10,10 @@ namespace anole::device {
 DeviceSession::DeviceSession(const DeviceProfile& profile,
                              double throughput_scale,
                              fault::FaultInjector* faults,
-                             core::RuntimeGovernor* governor,
-                             core::DriftDetector* drift)
+                             core::RuntimeGovernor* governor)
     : profile_(profile), throughput_scale_(throughput_scale),
       faults_(faults),
-      governor_(core::governor_enabled_from_env() ? governor : nullptr),
-      drift_(core::drift_enabled_from_env() ? drift : nullptr) {}
+      governor_(core::governor_enabled_from_env() ? governor : nullptr) {}
 
 double DeviceSession::process(const FrameCost& cost) {
   double latency = 0.0;
@@ -48,7 +46,6 @@ double DeviceSession::process(const FrameCost& cost) {
   overrun_flags_.push_back(overrun ? 1 : 0);
   total_ms_ += latency;
   if (governor_ != nullptr) governor_->observe(latency, overrun);
-  if (drift_ != nullptr) drift_->observe_latency(latency, overrun);
   return latency;
 }
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/drift.hpp"
 #include "core/governor.hpp"
 #include "device/profile.hpp"
 #include "util/fault.hpp"
@@ -50,14 +49,9 @@ class DeviceSession {
   /// it can react to overload; it must outlive the session. The pointer
   /// is ignored when `core::governor_enabled_from_env()` is false, so
   /// ANOLE_GOVERNOR=0 reproduces the ungoverned timeline exactly.
-  /// `drift` (optional) receives one observe_latency() per processed
-  /// frame (latency-regime change detection, DESIGN.md §14); it must
-  /// outlive the session and is likewise ignored when
-  /// `core::drift_enabled_from_env()` is false (ANOLE_DRIFT=0).
   DeviceSession(const DeviceProfile& profile, double throughput_scale = 1.0,
                 fault::FaultInjector* faults = nullptr,
-                core::RuntimeGovernor* governor = nullptr,
-                core::DriftDetector* drift = nullptr);
+                core::RuntimeGovernor* governor = nullptr);
 
   /// Charges one frame and returns its end-to-end latency in ms.
   double process(const FrameCost& cost);
@@ -99,7 +93,6 @@ class DeviceSession {
   double throughput_scale_;
   fault::FaultInjector* faults_;
   core::RuntimeGovernor* governor_;
-  core::DriftDetector* drift_;
   bool framework_initialized_ = false;
   std::vector<double> latencies_;
   /// Per-frame deadline-overrun flags, parallel to latencies_.

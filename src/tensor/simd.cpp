@@ -205,8 +205,12 @@ ANOLE_TARGET_AVX2 inline __m256i lane_mask(std::size_t lanes) {
 /// widths the NN layers run: 5, 16, 24, 42). `kRows` C rows advance
 /// together so one set of B-row loads feeds several accumulator rows —
 /// and in the transpose-A layouts (`acs > 1`) the per-row A scalars for
-/// a k step sit in the same cache line. The last vector is masked so any
-/// n in ((kVecs-1)*8, kVecs*8] fits. Per output element the accumulation
+/// a k step sit in the same cache line. The last vector is masked to its
+/// first `last_lanes` (1..8) lanes so any n in ((kVecs-1)*8, kVecs*8]
+/// fits. The lane count, not the mask, crosses the call: a function that
+/// takes a ymm argument gets no `vzeroupper` from GCC, and returning with
+/// dirty upper state makes the SSE code after it pay AVX/SSE transition
+/// penalties. Per output element the accumulation
 /// is still one fused multiply-add per k, kk ascending, independent of
 /// row grouping and chunk boundaries, so results are bitwise identical
 /// to the blocked path at any thread count.
@@ -215,7 +219,9 @@ ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
                                              std::size_t k, std::size_t n,
                                              const float* pa, std::size_t ars,
                                              std::size_t acs, const float* pb,
-                                             float* pc, __m256i last_mask) {
+                                             float* pc,
+                                             std::size_t last_lanes) {
+  const __m256i last_mask = lane_mask(last_lanes);
   std::size_t i = ilo;
   for (; i + kRows <= ihi; i += kRows) {
     __m256 acc[kRows][kVecs];
@@ -248,7 +254,7 @@ ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
   }
   if constexpr (kRows > 1) {
     gemm_rows_avx2_narrow<kVecs, 1>(i, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
   }
 }
 
@@ -258,42 +264,42 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
                     std::size_t acs, const float* pb, float* pc) {
   if (n > 0 && n <= 64) {
     const std::size_t tail = n % 8;
-    const __m256i last_mask = lane_mask(tail == 0 ? 8 : tail);
+    const std::size_t last_lanes = tail == 0 ? 8 : tail;
     // Row-group widths keep every live accumulator (kRows * kVecs), the
     // shared B vectors, and the broadcast register inside the 16 ymm
     // registers; wider outputs drop to fewer rows per group.
     switch ((n + 7) / 8) {
       case 1:
         gemm_rows_avx2_narrow<1, 8>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
         return;
       case 2:
         gemm_rows_avx2_narrow<2, 6>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
         return;
       case 3:
         gemm_rows_avx2_narrow<3, 3>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
         return;
       case 4:
         gemm_rows_avx2_narrow<4, 2>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
         return;
       case 5:
         gemm_rows_avx2_narrow<5, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
         return;
       case 6:
         gemm_rows_avx2_narrow<6, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
         return;
       case 7:
         gemm_rows_avx2_narrow<7, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
         return;
       default:
         gemm_rows_avx2_narrow<8, 1>(ilo, ihi, k, n, pa, ars, acs, pb, pc,
-                                    last_mask);
+                                    last_lanes);
         return;
     }
   }

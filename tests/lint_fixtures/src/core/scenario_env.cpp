@@ -1,7 +1,6 @@
 // env-var-registry: ANOLE_SCENARIO is a *required* knob — this getenv
 // site satisfies the required-registration check (and the fixture README
-// documents it). ANOLE_DRIFT is deliberately absent from the fixture
-// tree, so the required-var finding fires at README.md:1.
+// documents it), so no required-var finding fires on the fixture tree.
 #include <cstdlib>
 
 namespace anole::core {

@@ -1,5 +1,5 @@
-// Deployment-artifact round trips and the engine extensions (confidence
-// fallback, suitability smoothing), sharing one trained system.
+// Deployment-artifact round trips and the engine's confidence fallback,
+// sharing one trained system.
 #include "core/artifact.hpp"
 
 #include <gtest/gtest.h>
@@ -39,7 +39,10 @@ class ArtifactTest : public ::testing::Test {
     ProfilerConfig config;
     config.encoder.train.epochs = 15;
     config.repository.target_models = 6;
-    config.repository.detector_train.epochs = 6;
+    // Enough detector epochs that every detector passes its int8 guard
+    // (fewer can leave one just past the 0.02 F1 allowance), so
+    // QuantizedModelSectionsShrink compares every model section.
+    config.repository.detector_train.epochs = 10;
     config.repository.min_training_frames = 20;
     config.repository.min_validation_frames = 4;
     config.sampling.budget = 150;
@@ -208,29 +211,6 @@ TEST_F(ArtifactTest, ZeroFloorNeverTriggersFallback) {
     EXPECT_FALSE(engine.process(*frames[i]).low_confidence);
   }
   EXPECT_EQ(engine.low_confidence_frames(), 0u);
-}
-
-TEST_F(ArtifactTest, SmoothingReducesModelSwitches) {
-  const auto frames = world_->frames_with_role(world::SplitRole::kTest);
-  EngineConfig raw;
-  raw.cache.capacity = 8;
-  AnoleEngine per_frame(*system_, raw);
-  EngineConfig smoothed = raw;
-  smoothed.suitability_smoothing = 0.8;
-  AnoleEngine damped(*system_, smoothed);
-  for (const world::Frame* frame : frames) {
-    (void)per_frame.process(*frame);
-    (void)damped.process(*frame);
-  }
-  EXPECT_LE(damped.model_switches(), per_frame.model_switches());
-}
-
-TEST_F(ArtifactTest, InvalidSmoothingRejected) {
-  EngineConfig config;
-  config.suitability_smoothing = 1.0;
-  EXPECT_THROW(AnoleEngine(*system_, config), std::invalid_argument);
-  config.suitability_smoothing = -0.1;
-  EXPECT_THROW(AnoleEngine(*system_, config), std::invalid_argument);
 }
 
 TEST_F(ArtifactTest, Top1ConfidenceReported) {

@@ -2,17 +2,23 @@
 // weight quantization, the qgemm kernel (exact against a scalar integer
 // reference, tolerant against fp32, bitwise deterministic across thread
 // counts), QuantizedLinear, the Sequential quantization pass, the compact
-// precision-tagged network wire format, and edge shapes for every GEMM
-// entry point.
+// precision-tagged network wire format, edge shapes for every GEMM
+// entry point, and the upper-YMM state the AVX2 kernels return with.
 #include "tensor/qgemm.hpp"
 
 #include <gtest/gtest.h>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -464,6 +470,89 @@ TEST(QuantizeRowInt16, SameCodesAndScaleAtEveryLevel) {
   EXPECT_GT(1e-39f / 127.0f, 0.0f);
   EXPECT_EQ(simd::quantize_code(nan, 1.0f), -127);
   EXPECT_EQ(simd::quantize_code(-inf, 1.0f), -127);
+}
+
+/// Whether the upper halves of the YMM registers are in use (XINUSE bit
+/// 2, read by XGETBV with ECX = 1); nullopt where the processor cannot
+/// report it.
+std::optional<bool> ymm_upper_in_use() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  // CPUID.(EAX=0DH, ECX=1):EAX bit 2 advertises XGETBV with ECX = 1.
+  if (__get_cpuid_count(0xD, 1, &eax, &ebx, &ecx, &edx) == 0 ||
+      (eax & 4u) == 0) {
+    return std::nullopt;
+  }
+  unsigned lo = 0;
+  unsigned hi = 0;
+  asm volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1u));
+  return (lo & 4u) != 0;
+#else
+  return std::nullopt;
+#endif
+}
+
+TEST(SimdUpperState, AvxKernelsReturnWithCleanUpperYmm) {
+  // A function that leaves the upper YMM halves dirty makes every
+  // SSE-encoded instruction after it pay an AVX/SSE transition penalty
+  // (the decode's std::exp after an fp32 detector forward ran ~25x
+  // slower). Each AVX2 kernel must return with the state clean.
+  if (simd::detected_level() < simd::Level::kAVX2 ||
+      !ymm_upper_in_use().has_value()) {
+    GTEST_SKIP() << "no AVX2 or no XGETBV with ECX = 1 on this host";
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  // Probe control: dirtying ymm15 must show, and vzeroupper must clear it.
+  asm volatile("vpcmpeqd %%ymm15, %%ymm15, %%ymm15" ::: "xmm15");
+  ASSERT_EQ(ymm_upper_in_use(), true);
+  asm volatile("vzeroupper" ::: "xmm15");
+  ASSERT_EQ(ymm_upper_in_use(), false);
+#endif
+  constexpr simd::Level kAvx2 = simd::Level::kAVX2;
+  Rng rng(31);
+  // Narrow outputs (n <= 64, register-accumulator kernels, every vector
+  // count and tail) and the cache-blocked path beyond them.
+  for (const std::size_t n : {1, 5, 8, 13, 16, 24, 42, 48, 57, 64, 65, 200}) {
+    for (const std::size_t m : {1, 7, 16}) {
+      const Tensor a = random_matrix(m, 11, rng);
+      const Tensor b = random_matrix(11, n, rng);
+      std::vector<float> c(m * n);
+      simd::gemm_rows(kAvx2, 0, m, 11, n, a.data().data(), 11, 1,
+                      b.data().data(), c.data());
+      EXPECT_EQ(ymm_upper_in_use(), false) << "gemm_rows " << m << "x" << n;
+    }
+  }
+
+  const Tensor x = random_matrix(9, 20, rng);
+  std::vector<std::int16_t> codes(9 * 32);
+  std::vector<float> scales(9);
+  simd::quantize_rows_int16(kAvx2, x.data().data(), 9, 20, 20, codes.data(),
+                            32, scales.data());
+  EXPECT_EQ(ymm_upper_in_use(), false) << "quantize_rows_int16";
+
+  // Depth 32 = 16 pairs over 8 channels, in the pair-interleaved layout.
+  const std::vector<std::int16_t> weights(16 * 8 * 2, 3);
+  const std::vector<float> channel_scales(8, 0.5f);
+  std::vector<float> y(9 * 8);
+  simd::qgemm_rows(kAvx2, 0, 9, 8, 16, 8, codes.data(), 32, scales.data(),
+                   weights.data(), channel_scales.data(), nullptr, y.data());
+  EXPECT_EQ(ymm_upper_in_use(), false) << "qgemm_rows";
+
+  const Tensor logits = random_matrix(1, 37, rng);
+  std::vector<float> z(logits.data().begin(), logits.data().end());
+  std::vector<float> log_term(z.size());
+  simd::sigmoid_terms(kAvx2, z.data(), z.size(), z.data(), log_term.data());
+  EXPECT_EQ(ymm_upper_in_use(), false) << "sigmoid_terms";
+
+  const std::vector<float> point = {0.5f, -1.0f, 2.0f};
+  const std::vector<double> centroids_t(3 * 8, 0.25);
+  std::vector<double> dist(8);
+  simd::kmeans_distances(kAvx2, point.data(), 3, centroids_t.data(), 8,
+                         dist.data());
+  EXPECT_EQ(ymm_upper_in_use(), false) << "kmeans_distances";
 }
 
 TEST(Qgemm, RejectsBadShapes) {
