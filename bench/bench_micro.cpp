@@ -10,7 +10,7 @@
 // level at 4 pool threads vs that reference) and at 1/2/4 pool threads
 // at the active level (the "thread_scaling" sections). The suite
 // verifies bitwise thread-count invariance per kernel, plus bitwise
-// *level* invariance for the int8 and k-means paths, then times the
+// *level* invariance for the fp32, int8 and k-means paths, then times the
 // post-training quantize/dequantize pass and fp32-v2 vs quantized-v3
 // artifact loads on the OSP system, and writes the numbers (including
 // the detected and active SIMD levels) to BENCH_micro.json in the
@@ -639,9 +639,11 @@ int run_json_suite() {
       bitwise_equal_double(osp_a1.mean_f1, osp_a4.mean_f1);
   const bool engine_identical =
       eng_a1.digest == eng_a2.digest && eng_a1.digest == eng_a4.digest;
-  // Bitwise *level* invariance where the kernels promise it: the int8
-  // path and the k-means distance kernel (fp32 GEMM at AVX2 uses FMA and
-  // is exempt by contract — DESIGN.md §13).
+  // Bitwise *level* invariance: the active level at 4 threads against the
+  // scalar serial reference, kernel by kernel.
+  const bool matmul_level_identical =
+      std::memcmp(&scalar_1t.matmul.checksum, &active_4t.matmul.checksum,
+                  sizeof(float)) == 0;
   const bool qgemm_level_identical =
       bitwise_equal_tensor(scalar_1t.qgemm.int8_product,
                            active_4t.qgemm.int8_product) &&
@@ -679,6 +681,8 @@ int run_json_suite() {
   std::fprintf(out, "    \"speedup\": %.4f,\n", matmul_speedup);
   std::fprintf(out, "    \"identical_results\": %s,\n",
                matmul_identical ? "true" : "false");
+  std::fprintf(out, "    \"identical_across_levels\": %s,\n",
+               matmul_level_identical ? "true" : "false");
   std::fprintf(out, "    \"thread_scaling\": {\n");
   std::fprintf(out, "      \"gflops_1t\": %.4f,\n", active_1t.matmul.gflops);
   std::fprintf(out, "      \"gflops_2t\": %.4f,\n", active_2t.matmul.gflops);
@@ -802,7 +806,8 @@ int run_json_suite() {
 
   const bool all_identical = matmul_identical && qgemm_identical &&
                              kmeans_identical && osp_identical &&
-                             engine_identical && qgemm_level_identical &&
+                             engine_identical && matmul_level_identical &&
+                             qgemm_level_identical &&
                              kmeans_level_identical &&
                              layers.identical_across_levels;
   // A parallel kernel must never lose to its own 1-thread run (the

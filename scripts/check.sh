@@ -112,7 +112,7 @@ stage_simd() {
   # Pins the SIMD dispatch level below the host's detected one so the
   # scalar/SSE2 kernels — normally shadowed by AVX2 — run the full tier-1
   # suite. avx2 is forced explicitly when the host supports it, covering
-  # the clamp path and the FMA kernels regardless of future defaults.
+  # the clamp path and the AVX2 kernels regardless of future defaults.
   ANOLE_SIMD=scalar ctest --test-dir build --output-on-failure -j "$jobs" &&
   ANOLE_SIMD=sse2 ctest --test-dir build --output-on-failure -j "$jobs" &&
   if grep -q avx2 /proc/cpuinfo 2>/dev/null; then

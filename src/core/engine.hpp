@@ -131,7 +131,14 @@ class AnoleEngine {
   /// per-frame detections depend only on that frame's planned model, and
   /// nested tensor kernels use thread-count-invariant chunking — so the
   /// results, and any injected fault schedule, are bitwise identical to
-  /// calling process() frame by frame at any thread count.
+  /// calling process() frame by frame at any thread count and SIMD level.
+  /// The one exception is a governor fed by a DeviceSession: the session
+  /// observes a frame's latency only after process_batch returns, so the
+  /// governor plans a whole batch on the observations made before it,
+  /// where process() would let each frame see its predecessor's (a
+  /// 600-frame hostile stream shed 189 frames via process() and 178 via
+  /// 64-frame batches). Without such feedback between a batch's frames
+  /// the equality holds.
   std::vector<EngineResult> process_batch(
       const std::vector<const world::Frame*>& frames);
 

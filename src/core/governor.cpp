@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "tensor/simd.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
@@ -130,10 +129,6 @@ void RuntimeGovernor::transition_to(GovernorState next) {
 
 std::uint64_t RuntimeGovernor::trace_hash() const {
   Fnv1a hash;
-  // The active SIMD dispatch level is part of the trace identity: a
-  // replay under a different level (ANOLE_SIMD) is a different execution
-  // environment and must not silently hash equal.
-  hash.mix(static_cast<std::uint64_t>(simd::active_level()) + 1);
   for (const GovernorEvent& event : trace_) {
     hash.mix(event.frame);
     hash.mix(static_cast<std::uint64_t>(event.from));

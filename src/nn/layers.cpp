@@ -36,6 +36,11 @@ Tensor Linear::infer(const Tensor& input) const {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  return matmul_transpose_b(grad_output, weight_.value);
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
   ANOLE_CHECK(!cached_input_.empty(),
               "Linear::backward before forward");
   ANOLE_CHECK(grad_output.rank() == 2 && grad_output.cols() == out_features_,
@@ -43,7 +48,6 @@ Tensor Linear::backward(const Tensor& grad_output) {
               "], got ", shape_to_string(grad_output.shape()));
   weight_.grad += matmul_transpose_a(cached_input_, grad_output);
   bias_.grad += sum_rows(grad_output);
-  return matmul_transpose_b(grad_output, weight_.value);
 }
 
 std::vector<Parameter*> Linear::parameters() { return {&weight_, &bias_}; }
@@ -92,12 +96,11 @@ Tensor Sigmoid::forward(const Tensor& input) {
 }
 
 Tensor Sigmoid::infer(const Tensor& input) const {
-  // σ through the dispatched transcendental kernel (libm at scalar/SSE2,
-  // polynomial at AVX2 — DESIGN.md §13), written straight into an
-  // uninitialized output.
+  // σ through the shared libm loop (tensor/simd.hpp), written straight
+  // into an uninitialized output.
   Tensor out = Tensor::uninitialized(input.shape());
-  simd::sigmoid_terms(simd::active_level(), input.data().data(), input.size(),
-                      out.data().data(), nullptr);
+  simd::sigmoid_terms(input.data().data(), input.size(), out.data().data(),
+                      nullptr);
   return out;
 }
 

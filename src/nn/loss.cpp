@@ -84,13 +84,12 @@ float bce_with_logits(const Tensor& logits, const Tensor& targets,
   grad = Tensor::uninitialized(logits.shape());
   const std::size_t n = logits.size();
   ANOLE_CHECK_GT(n, 0u, "bce_with_logits: empty input");
-  // The transcendental core — σ(z) and log1p(exp(-|z|)) — runs through
-  // the dispatched kernel: scalar/SSE2 evaluate the exact libm
-  // expressions, AVX2 the documented polynomial path (DESIGN.md §13).
-  // σ(z) lands in `grad` and is rescaled to the gradient in place.
+  // The transcendental core — σ(z) and log1p(exp(-|z|)) — comes from
+  // the shared libm loop (tensor/simd.hpp). σ(z) lands in `grad` and is
+  // rescaled to the gradient in place.
   Tensor log_terms = Tensor::uninitialized(logits.shape());
-  simd::sigmoid_terms(simd::active_level(), logits.data().data(), n,
-                      grad.data().data(), log_terms.data().data());
+  simd::sigmoid_terms(logits.data().data(), n, grad.data().data(),
+                      log_terms.data().data());
   double loss = 0.0;
   const float inv_n = 1.0f / static_cast<float>(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -57,6 +57,13 @@ class Module {
   /// accumulates parameter gradients, and returns the input gradient.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() for a module whose input is data, not another layer's
+  /// output: accumulates the same parameter gradients and skips the input
+  /// gradient no caller reads. The default runs backward().
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// All learnable parameters of this module (possibly empty).
   virtual std::vector<Parameter*> parameters() { return {}; }
 

@@ -41,6 +41,15 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   return current;
 }
 
+void Sequential::backward_params(const Tensor& grad_output) {
+  if (modules_.empty()) return;
+  Tensor current = grad_output;
+  for (std::size_t i = modules_.size() - 1; i > 0; --i) {
+    current = modules_[i]->backward(current);
+  }
+  modules_.front()->backward_params(current);
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> params;
   for (auto& module : modules_) {

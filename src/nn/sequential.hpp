@@ -25,6 +25,7 @@ class Sequential : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor infer(const Tensor& input) const override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Sequential"; }
   std::uint64_t flops_per_sample() const override;

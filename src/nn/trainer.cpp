@@ -58,7 +58,7 @@ TrainResult train_classifier(Module& net, const Tensor& inputs,
       Tensor logits = net.forward(x);
       Tensor grad;
       epoch_loss += softmax_cross_entropy(logits, y, grad);
-      net.backward(grad);
+      net.backward_params(grad);
       optimizer.step();
       ++batches;
     }
@@ -118,7 +118,7 @@ TrainResult train_soft_classifier(Module& net, const Tensor& inputs,
       Tensor logits = net.forward(x);
       Tensor grad;
       epoch_loss += softmax_cross_entropy_soft(logits, t, grad);
-      net.backward(grad);
+      net.backward_params(grad);
       optimizer.step();
       ++batches;
     }

@@ -16,7 +16,6 @@
 #endif
 
 #include "util/check.hpp"
-#include "util/fault.hpp"
 
 // GCC honors per-function optimize attributes; the scalar kernels use
 // them to suppress autovectorization so the "scalar" level is a genuine
@@ -25,13 +24,12 @@
 // an FMA-capable target. One attribute carries all options: GCC does not
 // reliably merge two optimize attributes on one function.
 //
-// ANOLE_NO_CONTRACT marks the vector qgemm kernels (and the AVX2 k-means
-// distance kernel, whose mul + add it fused too). GCC contracts a
-// separate multiply and add into one FMA by default (-ffp-contract=fast)
-// wherever the target has FMA — always inside the avx2,fma-targeted
-// kernels, intrinsics included. A fused dequant `float(acc) * scale +
-// bias` skips the product's rounding and stops matching the scalar level
-// bit for bit, so contraction is switched off on those kernels.
+// ANOLE_NO_CONTRACT marks every vector kernel that multiplies and adds.
+// GCC contracts a separate multiply and add into one FMA by default
+// (-ffp-contract=fast) wherever the target has FMA, intrinsics included.
+// The AVX2 kernels target avx2 alone, but a whole build for an FMA host
+// (-march=native) would still fuse them; a fused `c + a*b` skips the
+// product's rounding and stops matching the scalar level bit for bit.
 #if defined(__GNUC__) && !defined(__clang__)
 #define ANOLE_NO_AUTOVEC                                             \
   __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize", \
@@ -44,7 +42,7 @@
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define ANOLE_HAVE_AVX2_TARGET 1
-#define ANOLE_TARGET_AVX2 __attribute__((target("avx2,fma")))
+#define ANOLE_TARGET_AVX2 __attribute__((target("avx2")))
 #else
 #define ANOLE_HAVE_AVX2_TARGET 0
 #define ANOLE_TARGET_AVX2
@@ -71,9 +69,7 @@ constexpr std::size_t kChannelBlock = 64;
 Level probe_cpu() {
 #if ANOLE_HAVE_AVX2_TARGET
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return Level::kAVX2;
-  }
+  if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
 #endif
 #if defined(__SSE2__)
   return Level::kSSE2;
@@ -84,14 +80,6 @@ Level probe_cpu() {
 
 Level clamp_to_detected(Level level) {
   return std::min(level, detected_level());
-}
-
-/// Publishes the level as the fault trace-context tag (encoded level+1 so
-/// an unresolved process reads 0). Governor hashes read the level
-/// directly; fault hashes go through this tag because util sits below
-/// tensor in the layering DAG.
-void publish_level(Level level) {
-  fault::set_trace_context(static_cast<std::uint64_t>(level) + 1);
 }
 
 Level parse_env_level() {
@@ -118,11 +106,7 @@ constexpr int kNoOverride = -1;
 std::atomic<int> g_override{kNoOverride};
 
 Level env_level() {
-  static const Level level = [] {
-    const Level resolved = parse_env_level();
-    publish_level(resolved);
-    return resolved;
-  }();
+  static const Level level = parse_env_level();
   return level;
 }
 
@@ -151,6 +135,7 @@ void gemm_rows_scalar(std::size_t ilo, std::size_t ihi, std::size_t k,
 }
 
 #if defined(__SSE2__)
+ANOLE_NO_CONTRACT
 void gemm_rows_sse2(std::size_t ilo, std::size_t ihi, std::size_t k,
                     std::size_t n, const float* pa, std::size_t ars,
                     std::size_t acs, const float* pb, float* pc) {
@@ -184,11 +169,9 @@ void gemm_rows_sse2(std::size_t ilo, std::size_t ihi, std::size_t k,
 
 #if ANOLE_HAVE_AVX2_TARGET
 /// Lane-enable masks for `_mm256_maskload_ps`/`_mm256_maskstore_ps`:
-/// `kTailMask + (8 - t)` enables the first `t` lanes. A masked fused
-/// multiply-add is the same single-rounding operation per active lane as
-/// the scalar `std::fmaf` it replaces, and inactive lanes are neither
-/// read nor written, so tail handling stays bitwise identical to the
-/// historical scalar-fma tail.
+/// `kTailMask + (8 - t)` enables the first `t` lanes. Inactive lanes are
+/// neither read nor written, so a masked tail computes exactly the
+/// scalar loop's elements.
 alignas(32) constexpr std::int32_t kTailMask[16] = {-1, -1, -1, -1, -1, -1,
                                                    -1, -1, 0,  0,  0,  0,
                                                    0,  0,  0,  0};
@@ -210,17 +193,15 @@ ANOLE_TARGET_AVX2 inline __m256i lane_mask(std::size_t lanes) {
 /// fits. The lane count, not the mask, crosses the call: a function that
 /// takes a ymm argument gets no `vzeroupper` from GCC, and returning with
 /// dirty upper state makes the SSE code after it pay AVX/SSE transition
-/// penalties. Per output element the accumulation
-/// is still one fused multiply-add per k, kk ascending, independent of
-/// row grouping and chunk boundaries, so results are bitwise identical
-/// to the blocked path at any thread count.
+/// penalties. Per output element the accumulation is still c += a*b
+/// with the multiply and the add rounded apart, kk ascending, independent
+/// of row grouping and chunk boundaries, so results are bitwise identical
+/// to the scalar level at any thread count.
 template <int kVecs, int kRows>
-ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
-                                             std::size_t k, std::size_t n,
-                                             const float* pa, std::size_t ars,
-                                             std::size_t acs, const float* pb,
-                                             float* pc,
-                                             std::size_t last_lanes) {
+ANOLE_TARGET_AVX2 ANOLE_NO_CONTRACT void gemm_rows_avx2_narrow(
+    std::size_t ilo, std::size_t ihi, std::size_t k, std::size_t n,
+    const float* pa, std::size_t ars, std::size_t acs, const float* pb,
+    float* pc, std::size_t last_lanes) {
   const __m256i last_mask = lane_mask(last_lanes);
   std::size_t i = ilo;
   for (; i + kRows <= ihi; i += kRows) {
@@ -240,7 +221,7 @@ ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
         if (aik == 0.0f) continue;
         const __m256 va = _mm256_set1_ps(aik);
         for (int v = 0; v < kVecs; ++v) {
-          acc[r][v] = _mm256_fmadd_ps(va, b[v], acc[r][v]);
+          acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(va, b[v]));
         }
       }
     }
@@ -258,7 +239,7 @@ ANOLE_TARGET_AVX2 void gemm_rows_avx2_narrow(std::size_t ilo, std::size_t ihi,
   }
 }
 
-ANOLE_TARGET_AVX2
+ANOLE_TARGET_AVX2 ANOLE_NO_CONTRACT
 void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
                     std::size_t n, const float* pa, std::size_t ars,
                     std::size_t acs, const float* pb, float* pc) {
@@ -317,22 +298,21 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
           const float aik = pa[i * ars + kk * acs];
           if (aik == 0.0f) continue;
           const float* brow = pb + kk * n;
-          // FMA: one rounding per multiply-add, in the full vector body
-          // and the masked tail alike, so the whole level is "fused
-          // everywhere"; tail membership depends only on (n, jb), never
-          // on threading.
+          // Separate mul + add per lane, in the full vector body and the
+          // masked tail alike: the scalar expression c[j] += a*b[j].
           const __m256 va = _mm256_set1_ps(aik);
           for (std::size_t j = jb; j + 8 <= jhi; j += 8) {
-            _mm256_storeu_ps(
-                crow + j,
-                _mm256_fmadd_ps(va, _mm256_loadu_ps(brow + j),
-                                _mm256_loadu_ps(crow + j)));
+            const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(brow + j));
+            _mm256_storeu_ps(crow + j,
+                             _mm256_add_ps(_mm256_loadu_ps(crow + j), prod));
           }
           if (tail != 0) {
+            const __m256 prod =
+                _mm256_mul_ps(va, _mm256_maskload_ps(brow + jvec, tail_mask));
             _mm256_maskstore_ps(
                 crow + jvec, tail_mask,
-                _mm256_fmadd_ps(va, _mm256_maskload_ps(brow + jvec, tail_mask),
-                                _mm256_maskload_ps(crow + jvec, tail_mask)));
+                _mm256_add_ps(_mm256_maskload_ps(crow + jvec, tail_mask),
+                              prod));
           }
         }
       }
@@ -357,15 +337,6 @@ void gemm_rows_avx2(std::size_t ilo, std::size_t ihi, std::size_t k,
 // reduction combines them cannot change the result, and a lane-wise
 // IEEE division is the scalar division. A block that runs past the last
 // row repeats that row in its spare lanes and stores only its live rows.
-
-/// Code-lane masks for a row's last block: loading 8 (SSE2) or 16 (AVX2)
-/// lanes at `kCodeTailMask + 16 - t` keeps the first `t` codes. Lanes past
-/// the row read 0, which quantizes to 0 unless the inverse scale is
-/// infinite (a scale below 1/FLT_MAX); then 0 * inf is NaN and would
-/// become -127, so the mask, not the arithmetic, makes the padding zero.
-alignas(32) constexpr std::int16_t kCodeTailMask[32] = {
-    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-    0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0};
 
 ANOLE_NO_AUTOVEC
 void quantize_rows_int16_scalar(const float* x, std::size_t rows,
@@ -415,8 +386,8 @@ void quantize_block4_sse2(const float* x, std::size_t live, std::size_t depth,
   }
   const std::size_t body = depth - depth % 8;
   // Row tails run through the same 8-wide code on zero-padded stack
-  // copies: zeros leave the maximum alone, and the tail mask turns their
-  // codes into the pad code 0.
+  // copies: zeros leave the maximum alone and quantize to the pad code 0
+  // (the inverse scale is always finite).
   alignas(16) float tail[4][8] = {};
   for (std::size_t r = 0; r < 4; ++r) {
     std::copy(src[r] + body, src[r] + depth, tail[r]);
@@ -443,19 +414,21 @@ void quantize_block4_sse2(const float* x, std::size_t live, std::size_t depth,
                                _mm_unpackhi_ps(vmax[2], vmax[3]));
   const __m128 abs_max =
       _mm_max_ps(_mm_movelh_ps(t0, t1), _mm_movehl_ps(t1, t0));
-  // row_scale_for per lane: a zero, underflowed or infinite quotient
-  // gives scale 1.
+  // row_scale_for per lane: a quotient or inverse that is not finite
+  // (a zero quotient has an infinite inverse) gives scale 1 and
+  // inverse 1 = 1/1.
   const __m128 one = _mm_set1_ps(1.0f);
   const __m128 quotient = _mm_div_ps(abs_max, _mm_set1_ps(127.0f));
+  const __m128 inverse = _mm_div_ps(one, quotient);
   const __m128 inf = _mm_set1_ps(std::numeric_limits<float>::infinity());
-  const __m128 usable = _mm_and_ps(_mm_cmpgt_ps(quotient, _mm_setzero_ps()),
-                                   _mm_cmplt_ps(quotient, inf));
-  const __m128 scale =
-      _mm_or_ps(_mm_and_ps(usable, quotient), _mm_andnot_ps(usable, one));
+  const __m128 usable =
+      _mm_and_ps(_mm_cmplt_ps(quotient, inf), _mm_cmplt_ps(inverse, inf));
   alignas(16) float block_scale[4];
   alignas(16) float block_inv[4];
-  _mm_store_ps(block_scale, scale);
-  _mm_store_ps(block_inv, _mm_div_ps(one, scale));
+  _mm_store_ps(block_scale, _mm_or_ps(_mm_and_ps(usable, quotient),
+                                      _mm_andnot_ps(usable, one)));
+  _mm_store_ps(block_inv, _mm_or_ps(_mm_and_ps(usable, inverse),
+                                    _mm_andnot_ps(usable, one)));
   for (std::size_t r = 0; r < live; ++r) {
     scales[r] = block_scale[r];
     const __m128 vinv = _mm_set1_ps(block_inv[r]);
@@ -466,11 +439,8 @@ void quantize_block4_sse2(const float* x, std::size_t live, std::size_t depth,
     }
     std::size_t written = body;
     if (body < depth) {
-      const __m128i keep = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-          kCodeTailMask + 16 - (depth - body)));
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(out + body),
-          _mm_and_si128(quantize8_sse2(tail[r], vinv), keep));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + body),
+                       quantize8_sse2(tail[r], vinv));
       written += 8;
     }
     std::fill(out + written, out + padded, std::int16_t{0});
@@ -505,8 +475,8 @@ ANOLE_TARGET_AVX2 inline __m256i quantize16_avx2(__m256 a, __m256 b,
 
 /// Rows [0, live) of the 8-row block at `x` (1 <= live <= 8). Masked
 /// loads read each row's tail without touching memory past it; disabled
-/// lanes read as 0, which leaves the maximum alone, and the tail mask
-/// turns their codes into the pad code 0.
+/// lanes read as 0, which leaves the maximum alone and quantizes to the
+/// pad code 0.
 ANOLE_TARGET_AVX2
 void quantize_block8_avx2(const float* x, std::size_t live, std::size_t depth,
                           std::size_t x_stride, std::int16_t* dst,
@@ -549,20 +519,17 @@ void quantize_block8_avx2(const float* x, std::size_t live, std::size_t depth,
   const __m256 abs_max =
       _mm256_max_ps(_mm256_permute2f128_ps(quad_lo, quad_hi, 0x20),
                     _mm256_permute2f128_ps(quad_lo, quad_hi, 0x31));
-  // row_scale_for per lane: a zero, underflowed or infinite quotient
-  // gives scale 1.
+  // row_scale_for per lane (see the SSE2 block).
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 quotient = _mm256_div_ps(abs_max, _mm256_set1_ps(127.0f));
-  const __m256 usable = _mm256_and_ps(
-      _mm256_cmp_ps(quotient, _mm256_setzero_ps(), _CMP_GT_OQ),
-      _mm256_cmp_ps(quotient,
-                    _mm256_set1_ps(std::numeric_limits<float>::infinity()),
-                    _CMP_LT_OQ));
-  const __m256 scale = _mm256_blendv_ps(one, quotient, usable);
+  const __m256 inverse = _mm256_div_ps(one, quotient);
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  const __m256 usable = _mm256_and_ps(_mm256_cmp_ps(quotient, inf, _CMP_LT_OQ),
+                                      _mm256_cmp_ps(inverse, inf, _CMP_LT_OQ));
   alignas(32) float block_scale[8];
   alignas(32) float block_inv[8];
-  _mm256_store_ps(block_scale, scale);
-  _mm256_store_ps(block_inv, _mm256_div_ps(one, scale));
+  _mm256_store_ps(block_scale, _mm256_blendv_ps(one, quotient, usable));
+  _mm256_store_ps(block_inv, _mm256_blendv_ps(one, inverse, usable));
   for (std::size_t r = 0; r < live; ++r) {
     scales[r] = block_scale[r];
     const __m256 vinv = _mm256_set1_ps(block_inv[r]);
@@ -582,11 +549,8 @@ void quantize_block8_avx2(const float* x, std::size_t live, std::size_t depth,
           s + i, lane_mask(std::min<std::size_t>(rest, 8)));
       const __m256 b = _mm256_maskload_ps(
           s + i + 8, lane_mask(rest > 8 ? rest - 8 : 0));
-      const __m256i keep = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(kCodeTailMask + 16 - rest));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i),
-          _mm256_and_si256(quantize16_avx2(a, b, vinv), keep));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                          quantize16_avx2(a, b, vinv));
       i += 16;
     }
     std::fill(out + i, out + padded, std::int16_t{0});
@@ -797,103 +761,6 @@ void qgemm_rows_avx2(const QgemmArgs& q, std::size_t ilo, std::size_t ihi) {
 }
 #endif  // ANOLE_HAVE_AVX2_TARGET
 
-/// --- sigmoid / BCE transcendental kernels ---------------------------
-
-ANOLE_NO_AUTOVEC
-void sigmoid_terms_scalar(const float* z, std::size_t n, float* p,
-                          float* log_term) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float zi = z[i];
-    // Exactly the historical loss-loop expressions; this path defines
-    // the reference values the AVX2 polynomial is tested against.
-    p[i] = 1.0f / (1.0f + std::exp(-zi));
-    if (log_term != nullptr) {
-      log_term[i] = std::log1p(std::exp(-std::abs(zi)));
-    }
-  }
-}
-
-#if ANOLE_HAVE_AVX2_TARGET
-/// Cephes-style exp: split x = n·ln2 + r with |r| <= ln2/2, evaluate a
-/// degree-6 polynomial for exp(r) (FMA Horner), scale by 2^n through the
-/// exponent field. The clamp to [-87.33, 88.0] keeps 2^n normal at both
-/// ends (no subnormal or infinity encodings), so inputs past sigmoid
-/// saturation return ~1.07e-38 instead of libm's subnormal/zero — an
-/// absolute error below 1.1e-38. Elsewhere the result is within a few
-/// ULP of libm.
-ANOLE_TARGET_AVX2 inline __m256 exp_avx2(__m256 x) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  x = _mm256_min_ps(x, _mm256_set1_ps(88.0f));
-  x = _mm256_max_ps(x, _mm256_set1_ps(-87.3365478515625f));
-  __m256 fx = _mm256_fmadd_ps(x, _mm256_set1_ps(1.44269504088896341f),
-                              _mm256_set1_ps(0.5f));
-  fx = _mm256_floor_ps(fx);
-  // r = x - fx*ln2, with ln2 split so the reduction stays exact.
-  __m256 r = _mm256_fnmadd_ps(fx, _mm256_set1_ps(0.693359375f), x);
-  r = _mm256_fnmadd_ps(fx, _mm256_set1_ps(-2.12194440e-4f), r);
-  __m256 y = _mm256_set1_ps(1.9875691500e-4f);
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(1.3981999507e-3f));
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(8.3334519073e-3f));
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(4.1665795894e-2f));
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(1.6666665459e-1f));
-  y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(5.0000001201e-1f));
-  y = _mm256_fmadd_ps(y, _mm256_mul_ps(r, r), _mm256_add_ps(r, one));
-  const __m256i exponent = _mm256_slli_epi32(
-      _mm256_add_epi32(_mm256_cvtps_epi32(fx), _mm256_set1_epi32(127)), 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(exponent));
-}
-
-/// log1p(u) for u in [0, 1] via the atanh identity log1p(u) =
-/// 2·atanh(u / (2 + u)): s = u/(2+u) lies in [0, 1/3], where the odd
-/// series 2s·(1 + s²/3 + s⁴/5 + s⁶/7 + s⁸/9 + s¹⁰/11) converges to a
-/// relative error below 1e-7 — and degrades gracefully to log1p(u) ≈ u
-/// for tiny u, so the tiny-e tail of the BCE log term keeps full
-/// relative accuracy.
-ANOLE_TARGET_AVX2 inline __m256 log1p_unit_avx2(__m256 u) {
-  const __m256 s = _mm256_div_ps(u, _mm256_add_ps(_mm256_set1_ps(2.0f), u));
-  const __m256 s2 = _mm256_mul_ps(s, s);
-  __m256 poly = _mm256_set1_ps(1.0f / 11.0f);
-  poly = _mm256_fmadd_ps(poly, s2, _mm256_set1_ps(1.0f / 9.0f));
-  poly = _mm256_fmadd_ps(poly, s2, _mm256_set1_ps(1.0f / 7.0f));
-  poly = _mm256_fmadd_ps(poly, s2, _mm256_set1_ps(1.0f / 5.0f));
-  poly = _mm256_fmadd_ps(poly, s2, _mm256_set1_ps(1.0f / 3.0f));
-  poly = _mm256_fmadd_ps(poly, s2, _mm256_set1_ps(1.0f));
-  return _mm256_mul_ps(_mm256_add_ps(s, s), poly);
-}
-
-ANOLE_TARGET_AVX2
-void sigmoid_terms_avx2(const float* z, std::size_t n, float* p,
-                        float* log_term) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 sign_bit = _mm256_set1_ps(-0.0f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 zv = _mm256_loadu_ps(z + i);
-    // e = exp(-|z|) in (0, 1]: one transcendental feeds both outputs,
-    // and σ(z) = z >= 0 ? 1/(1+e) : e/(1+e) never overflows.
-    const __m256 e = exp_avx2(_mm256_or_ps(zv, sign_bit));
-    const __m256 denom = _mm256_add_ps(one, e);
-    const __m256 sig = _mm256_blendv_ps(_mm256_div_ps(e, denom),
-                                        _mm256_div_ps(one, denom),
-                                        _mm256_cmp_ps(zv, zero, _CMP_GE_OQ));
-    _mm256_storeu_ps(p + i, sig);
-    if (log_term != nullptr) {
-      _mm256_storeu_ps(log_term + i, log1p_unit_avx2(e));
-    }
-  }
-  // libm tail: membership depends only on n, so the level stays bitwise
-  // deterministic call to call.
-  for (; i < n; ++i) {
-    const float zi = z[i];
-    p[i] = 1.0f / (1.0f + std::exp(-zi));
-    if (log_term != nullptr) {
-      log_term[i] = std::log1p(std::exp(-std::abs(zi)));
-    }
-  }
-}
-#endif  // ANOLE_HAVE_AVX2_TARGET
-
 /// --- k-means distance kernels ---------------------------------------
 /// Lanes map to centroids; each lane accumulates in ascending dimension
 /// order with separate multiply and add, so every level produces bitwise
@@ -969,12 +836,10 @@ Level active_level() {
 void set_level(Level level) {
   const Level clamped = clamp_to_detected(level);
   g_override.store(static_cast<int>(clamped), std::memory_order_relaxed);
-  publish_level(clamped);
 }
 
 void reset_level() {
   g_override.store(kNoOverride, std::memory_order_relaxed);
-  publish_level(env_level());
 }
 
 const char* level_name(Level level) {
@@ -1068,22 +933,18 @@ void qgemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t n,
   }
 }
 
-void sigmoid_terms(Level level, const float* z, std::size_t n, float* p,
-                   float* log_term) {
+ANOLE_NO_AUTOVEC
+void sigmoid_terms(const float* z, std::size_t n, float* p, float* log_term) {
   ANOLE_DCHECK(n == 0 || (z != nullptr && p != nullptr),
                "sigmoid_terms: null input/output for n ", n);
-  switch (level) {
-#if ANOLE_HAVE_AVX2_TARGET
-    case Level::kAVX2:
-      sigmoid_terms_avx2(z, n, p, log_term);
-      return;
-#endif
-    default:
-      // kSSE2 shares the libm path: the sigmoid cannot be vectorized
-      // bitwise-exactly, and the SSE2 level's contract is bitwise
-      // agreement with scalar.
-      sigmoid_terms_scalar(z, n, p, log_term);
-      return;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float zi = z[i];
+    const float e = std::exp(-zi);
+    p[i] = 1.0f / (1.0f + e);
+    if (log_term != nullptr) {
+      // exp(-|z|) is the exp(-z) above unless z is negative (or NaN).
+      log_term[i] = std::log1p(zi >= 0.0f ? e : std::exp(-std::abs(zi)));
+    }
   }
 }
 

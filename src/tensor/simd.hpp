@@ -4,31 +4,16 @@
 // pick a `Level` once (normally `active_level()`) and hand it to the
 // kernels below. Three levels exist — a genuinely scalar reference
 // (autovectorization suppressed, the baseline every speedup is measured
-// against), the baseline-x86-64 SSE2 path, and an AVX2+FMA path — probed
+// against), the baseline-x86-64 SSE2 path, and an AVX2 path — probed
 // from CPUID at first use and overridable with the ANOLE_SIMD environment
-// variable or `set_level()` (tests, replay).
+// variable or `set_level()` (tests, benches).
 //
-// Determinism contract (per dispatch level):
-//   - int8 qgemm accumulates exact int32 sums and dequantizes with a
-//     separate multiply and add (contraction into FMA is switched off on
-//     its kernels) at every level, so all levels produce bitwise
-//     identical outputs.
-//   - fp32 GEMM: kScalar and kSSE2 are bitwise identical (both evaluate
-//     c[j] += a*b[j] with one rounding per multiply and add); kAVX2 fuses
-//     the multiply-add (FMA, one rounding), so its outputs differ from
-//     scalar by the FMA rounding only — bounded by a few ULP per
-//     accumulation step — and are bitwise stable at that level.
-//   - k-means distances are bitwise identical at every level (lanes map
-//     to centroids; each lane's accumulation order matches the scalar
-//     loop and no FMA is used).
-//   - sigmoid/BCE transcendentals: kScalar and kSSE2 call libm and are
-//     bitwise identical to each other; kAVX2 uses a documented
-//     polynomial exp/log1p pair accurate to a few ULP (see
-//     sigmoid_terms below).
-//   At any fixed level, every kernel is bitwise identical across thread
-//   counts and chunkings. The active level is mixed into fault and
-//   governor trace hashes, so replay logs pin it; replay under a
-//   different ANOLE_SIMD is detected as a trace mismatch.
+// Determinism contract: every kernel, at every level, is bitwise
+// identical to the scalar level, at any thread count and chunking. The
+// vector kernels keep the scalar loop's per-element operation order and
+// round every multiply and add apart (no FMA: contraction is switched
+// off on them); integer accumulation is exact. The level is therefore a
+// speed choice only: a run under any ANOLE_SIMD is the same execution.
 #pragma once
 
 #include <algorithm>
@@ -47,9 +32,8 @@ Level detected_level();
 
 /// Level the kernels run at: `set_level()` override if set, else the
 /// ANOLE_SIMD environment variable (values: scalar, sse2, avx2), else
-/// `detected_level()`. Requests above the detected level clamp down so a
-/// pinned replay degrades loudly (trace-hash mismatch) instead of
-/// executing illegal instructions.
+/// `detected_level()`. Requests above the detected level clamp down
+/// instead of executing illegal instructions.
 Level active_level();
 
 /// Runtime override (wins over ANOLE_SIMD; clamped to the detected
@@ -99,12 +83,13 @@ inline std::int32_t quantize_code(float value, float inv_scale) {
 }
 
 /// Symmetric scale for a row with the given absolute maximum (taken over
-/// the row's non-NaN elements). A zero, denormal-underflowing or infinite
-/// maximum gives scale 1.
+/// the row's non-NaN elements). A maximum below ~3.7e-37 (zero included),
+/// whose scale's inverse would overflow and saturate every code, or an
+/// infinite maximum gives scale 1.
 inline float row_scale_for(float abs_max) {
-  float scale = abs_max > 0.0f ? abs_max / 127.0f : 1.0f;
-  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  return scale;
+  // A zero quotient fails the second test: 1/0 is infinite.
+  const float scale = abs_max / 127.0f;
+  return std::isfinite(scale) && std::isfinite(1.0f / scale) ? scale : 1.0f;
 }
 
 /// Quantizes `rows` fp32 rows of `depth` elements, row r read at
@@ -142,22 +127,15 @@ void qgemm_rows(Level level, std::size_t ilo, std::size_t ihi, std::size_t n,
 /// layout below (one vector lane per centroid).
 inline constexpr std::size_t kKmeansLaneMultiple = 4;
 
-/// --- sigmoid / BCE transcendental kernel ----------------------------
+/// --- sigmoid / BCE transcendental loop ------------------------------
 
 /// p[i] = 1 / (1 + exp(-z[i])) and, when `log_term` is non-null,
 /// log_term[i] = log1p(exp(-|z[i]|)) — the transcendental core of the
-/// logistic sigmoid and of the numerically stable binary cross-entropy.
-/// `p` may alias `z` (in-place sigmoid). kScalar and kSSE2 evaluate
-/// exactly the libm expressions above, so those levels stay bitwise
-/// identical to each other and to the historical scalar loss loop. kAVX2
-/// evaluates a Cephes-style polynomial exp and an atanh-series log1p:
-/// like the FMA contraction in gemm_rows, the AVX2 level trades bitwise
-/// agreement with libm for throughput — outputs agree to a few ULP
-/// relative (the exp argument is clamped to [-87.33, 88.0], so inputs
-/// past sigmoid saturation differ from libm by < 1.1e-38 absolute) and
-/// are bitwise stable at that level across calls and thread counts.
-void sigmoid_terms(Level level, const float* z, std::size_t n, float* p,
-                   float* log_term);
+/// logistic sigmoid and of the numerically stable binary cross-entropy,
+/// evaluated with libm element by element (not dispatched: there is no
+/// vector form that matches libm bit for bit). `p` may alias `z`
+/// (in-place sigmoid).
+void sigmoid_terms(const float* z, std::size_t n, float* p, float* log_term);
 
 /// dist[j] = squared L2 distance (double) between `point` and centroid j,
 /// for all j in [0, k). Centroids are given transposed and widened:

@@ -1,6 +1,5 @@
 #include "util/fault.hpp"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "util/check.hpp"
@@ -20,20 +19,7 @@ std::size_t site_index(Site site) {
   return index;
 }
 
-/// Process-wide trace-context tag (see fault.hpp). Relaxed atomics: the
-/// tag is set once during dispatch-level resolution, long before any
-/// trace is hashed, and hashing re-reads it under the injector mutex.
-std::atomic<std::uint64_t> g_trace_context{0};
-
 }  // namespace
-
-void set_trace_context(std::uint64_t tag) {
-  g_trace_context.store(tag, std::memory_order_relaxed);
-}
-
-std::uint64_t trace_context() {
-  return g_trace_context.load(std::memory_order_relaxed);
-}
 
 const char* to_string(Site site) { return kSiteNames[site_index(site)]; }
 
@@ -161,9 +147,6 @@ std::vector<FaultEvent> FaultInjector::trace() const {
 std::uint64_t FaultInjector::trace_hash() const {
   const std::scoped_lock lock(mutex_);
   Fnv1a hash;
-  // The execution-context tag (active SIMD level) seeds the hash so a
-  // replay on a different kernel path cannot alias a matching schedule.
-  hash.mix(trace_context());
   for (const FaultEvent& event : trace_) {
     hash.mix(static_cast<std::uint64_t>(event.site));
     hash.mix(event.check_index);

@@ -60,16 +60,6 @@ inline constexpr std::size_t kSiteCount = 6;
 const char* to_string(Site site);
 std::optional<Site> site_from_name(std::string_view name);
 
-/// Process-wide execution-context tag mixed into every trace_hash().
-/// The SIMD dispatch layer publishes its active level here (encoded as
-/// level + 1, so 0 means "not yet resolved"), which makes a replay run
-/// under a different ANOLE_SIMD show up as a trace-hash mismatch instead
-/// of silently comparing schedules from different kernel paths. Layering
-/// keeps util below tensor, so the setter is a plain tag: callers above
-/// decide what it encodes.
-void set_trace_context(std::uint64_t tag);
-std::uint64_t trace_context();
-
 /// One fired injection, in firing order.
 struct FaultEvent {
   Site site = Site::kModelLoad;

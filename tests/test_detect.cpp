@@ -349,10 +349,10 @@ TEST(GridDetector, DecodeFilterSkipsOnlyCellsBelowTheThreshold) {
 }
 
 TEST(GridDetector, Int8InferIdenticalAtEveryDispatchLevel) {
-  // The whole int8 detector (input assembly, row quantizer, qgemm,
-  // decode filter, NMS) on a composed stream with the degrade and bursts
-  // packs: detections at sse2 and avx2 equal the scalar level's bit for
-  // bit, frame by frame.
+  // The whole detector (input assembly, fp32 GEMM or int8 row quantizer
+  // and qgemm, decode filter, NMS), fp32 and int8, on a composed stream
+  // with the degrade and bursts packs: detections at sse2 and avx2 equal
+  // the scalar level's bit for bit, frame by frame.
   world::WorldConfig world_config;
   world_config.frames_per_clip = 10;
   world_config.clip_scale = 0.2;
@@ -368,30 +368,34 @@ TEST(GridDetector, Int8InferIdenticalAtEveryDispatchLevel) {
   DetectorTrainConfig train_config;
   train_config.epochs = 16;
   train_detector(detector, train, train_config, rng);
+
+  const auto expect_level_invariant = [&](const char* precision) {
+    std::vector<std::vector<Detection>> want;
+    {
+      const SimdLevelGuard guard(simd::Level::kScalar);
+      for (const world::Frame& frame : stream.clip.frames) {
+        want.push_back(detector.infer(frame));
+      }
+    }
+    std::size_t detections = 0;
+    for (const auto& frame_detections : want) {
+      detections += frame_detections.size();
+    }
+    EXPECT_GT(detections, 0u) << precision;
+    for (const simd::Level level : {simd::Level::kSSE2, simd::Level::kAVX2}) {
+      if (level > simd::detected_level()) continue;
+      const SimdLevelGuard guard(level);
+      for (std::size_t i = 0; i < stream.clip.frames.size(); ++i) {
+        EXPECT_TRUE(
+            same_detections(detector.infer(stream.clip.frames[i]), want[i]))
+            << precision << " " << simd::level_name(level) << " frame " << i;
+      }
+    }
+  };
+  expect_level_invariant("fp32");
   nn::quantize_linear_layers(detector.network());
   ASSERT_TRUE(nn::is_quantized(detector.network()));
-
-  std::vector<std::vector<Detection>> want;
-  {
-    const SimdLevelGuard guard(simd::Level::kScalar);
-    for (const world::Frame& frame : stream.clip.frames) {
-      want.push_back(detector.infer(frame));
-    }
-  }
-  std::size_t detections = 0;
-  for (const auto& frame_detections : want) {
-    detections += frame_detections.size();
-  }
-  EXPECT_GT(detections, 0u);
-  for (const simd::Level level : {simd::Level::kSSE2, simd::Level::kAVX2}) {
-    if (level > simd::detected_level()) continue;
-    const SimdLevelGuard guard(level);
-    for (std::size_t i = 0; i < stream.clip.frames.size(); ++i) {
-      EXPECT_TRUE(
-          same_detections(detector.infer(stream.clip.frames[i]), want[i]))
-          << simd::level_name(level) << " frame " << i;
-    }
-  }
+  expect_level_invariant("int8");
 }
 
 TEST(GridDetector, TargetsMarkCenterCell) {

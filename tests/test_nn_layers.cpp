@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/loss.hpp"
 #include "nn/sequential.hpp"
@@ -39,12 +41,25 @@ void check_input_gradient(Module& module, Tensor input, float tol = 2e-2f) {
   }
 }
 
-/// Checks analytic parameter gradients against finite differences.
+/// Checks analytic parameter gradients against finite differences, and
+/// that backward_params() accumulates them bit for bit as backward() does.
 void check_parameter_gradients(Module& module, const Tensor& input,
                                float tol = 2e-2f) {
   const Tensor out = module.forward(input);
   module.zero_grad();
   (void)module.backward(out);
+  std::vector<Tensor> grads;
+  for (Parameter* param : module.parameters()) grads.push_back(param->grad);
+  module.zero_grad();
+  module.backward_params(out);
+  for (std::size_t p = 0; p < grads.size(); ++p) {
+    const Tensor& grad = module.parameters()[p]->grad;
+    ASSERT_EQ(grad.size(), grads[p].size());
+    EXPECT_EQ(std::memcmp(grad.data().data(), grads[p].data().data(),
+                          grad.size() * sizeof(float)),
+              0)
+        << "parameter " << p;
+  }
   const float epsilon = 1e-3f;
   for (Parameter* param : module.parameters()) {
     for (std::size_t i = 0; i < param->value.size(); ++i) {

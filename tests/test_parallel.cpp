@@ -2,7 +2,7 @@
 // themselves (parallel_for / parallel_reduce semantics), and the
 // determinism contract end to end — matmul kernels, k-means, the full
 // offline profiler, and the batch engine path must produce bitwise
-// identical results at 1 and 4 threads.
+// identical results at 1 and 4 threads and at every SIMD level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -21,9 +22,11 @@
 #include <thread>
 
 #include "cluster/kmeans.hpp"
+#include "core/engine.hpp"
 #include "core/profiler.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
+#include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -269,10 +272,8 @@ TEST(TensorUninitialized, HasShapeAndAcceptsWrites) {
   EXPECT_EQ(t.at(16, 4), 2.5f);
 }
 
-/// The fp32 dispatch contract (tensor/simd.hpp): scalar and SSE2 match
-/// the mul+add reference bitwise; AVX2 contracts each multiply-add into
-/// an FMA, so it gets an error envelope instead. Every level must be
-/// bitwise identical to itself across thread counts.
+/// The fp32 dispatch contract (tensor/simd.hpp): every level matches the
+/// mul+add reference bitwise, at every thread count.
 TEST(TensorParallel, MatmulMatchesNaiveBitwiseAtAnyThreadCount) {
   ThreadCountGuard guard;
   Rng rng(7);
@@ -288,31 +289,9 @@ TEST(TensorParallel, MatmulMatchesNaiveBitwiseAtAnyThreadCount) {
     par::set_thread_count(4);
     const Tensor parallel = matmul(a, b);
 
-    // Thread-count invariance holds at every level.
-    EXPECT_TRUE(bitwise_equal(serial, parallel))
+    EXPECT_TRUE(bitwise_equal(serial, reference)) << simd::level_name(level);
+    EXPECT_TRUE(bitwise_equal(parallel, reference))
         << simd::level_name(level);
-    if (level != simd::Level::kAVX2) {
-      EXPECT_TRUE(bitwise_equal(serial, reference))
-          << simd::level_name(level);
-      continue;
-    }
-    // AVX2 ULP policy: fusing a*b+c drops one rounding per partial sum,
-    // so each output may drift from the reference by at most one extra
-    // rounding per accumulation step: |Δ| ≤ k·ε·Σ|a_ik·b_kj|.
-    constexpr double kEps = 1.1920928955078125e-7;  // 2^-23
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        double abs_sum = 0.0;
-        for (std::size_t kk = 0; kk < a.cols(); ++kk) {
-          abs_sum += std::abs(static_cast<double>(a.at(i, kk)) *
-                              static_cast<double>(b.at(kk, j)));
-        }
-        const double tolerance =
-            static_cast<double>(a.cols()) * kEps * abs_sum + 1e-30;
-        EXPECT_NEAR(serial.at(i, j), reference.at(i, j), tolerance)
-            << "i=" << i << " j=" << j;
-      }
-    }
   }
 }
 
@@ -330,12 +309,9 @@ TEST(TensorParallel, MatmulTransposeAMatchesNaiveBitwise) {
     par::set_thread_count(4);
     const Tensor parallel = matmul_transpose_a(a, b);
 
-    EXPECT_TRUE(bitwise_equal(serial, parallel))
+    EXPECT_TRUE(bitwise_equal(serial, reference)) << simd::level_name(level);
+    EXPECT_TRUE(bitwise_equal(parallel, reference))
         << simd::level_name(level);
-    if (level != simd::Level::kAVX2) {
-      EXPECT_TRUE(bitwise_equal(serial, reference))
-          << simd::level_name(level);
-    }
   }
 }
 
@@ -353,12 +329,9 @@ TEST(TensorParallel, MatmulTransposeBMatchesNaiveBitwise) {
     par::set_thread_count(4);
     const Tensor parallel = matmul_transpose_b(a, b);
 
-    EXPECT_TRUE(bitwise_equal(serial, parallel))
+    EXPECT_TRUE(bitwise_equal(serial, reference)) << simd::level_name(level);
+    EXPECT_TRUE(bitwise_equal(parallel, reference))
         << simd::level_name(level);
-    if (level != simd::Level::kAVX2) {
-      EXPECT_TRUE(bitwise_equal(serial, reference))
-          << simd::level_name(level);
-    }
   }
 }
 
@@ -458,9 +431,10 @@ TEST(SimdDispatch, LevelNamesAreStable) {
   EXPECT_STREQ(simd::level_name(simd::Level::kAVX2), "avx2");
 }
 
-TEST(SimdDispatch, SigmoidTermsMatchLibmWithinEnvelope) {
-  // Inputs cover both signs, the origin, sigmoid saturation, and the
-  // exp clamp region, plus a pseudo-random spread.
+TEST(SimdDispatch, SigmoidTermsMatchLibm) {
+  // Inputs cover both signs, the origin, sigmoid saturation and the
+  // overflow range of exp, plus a pseudo-random spread. sigmoid_terms is
+  // the libm expressions bit for bit, with or without the log term.
   std::vector<float> z = {0.0f,  -0.0f, 1e-6f, -1e-6f, 0.5f,  -0.5f,
                           4.0f,  -4.0f, 17.0f, -17.0f, 30.0f, -30.0f,
                           88.0f, -88.0f, 95.0f, -95.0f};
@@ -469,55 +443,27 @@ TEST(SimdDispatch, SigmoidTermsMatchLibmWithinEnvelope) {
     z.push_back(static_cast<float>(rng.normal(0.0, 6.0)));
   }
   const std::size_t n = z.size();
-  std::vector<float> p_ref(n);
-  std::vector<float> l_ref(n);
-  simd::sigmoid_terms(simd::Level::kScalar, z.data(), n, p_ref.data(),
-                      l_ref.data());
+  std::vector<float> p(n);
+  std::vector<float> l(n);
+  simd::sigmoid_terms(z.data(), n, p.data(), l.data());
   for (std::size_t i = 0; i < n; ++i) {
-    // The scalar level is the exact libm loop.
-    const double zd = static_cast<double>(z[i]);
-    EXPECT_NEAR(p_ref[i], 1.0 / (1.0 + std::exp(-zd)), 1e-6) << z[i];
-    EXPECT_NEAR(l_ref[i], std::log1p(std::exp(-std::abs(zd))), 1e-6) << z[i];
+    const float want_p = 1.0f / (1.0f + std::exp(-z[i]));
+    const float want_l = std::log1p(std::exp(-std::abs(z[i])));
+    EXPECT_EQ(std::memcmp(&p[i], &want_p, sizeof(float)), 0) << z[i];
+    EXPECT_EQ(std::memcmp(&l[i], &want_l, sizeof(float)), 0) << z[i];
   }
-  for (const simd::Level level : available_levels()) {
-    std::vector<float> p(n);
-    std::vector<float> l(n);
-    simd::sigmoid_terms(level, z.data(), n, p.data(), l.data());
-    std::vector<float> p_again(n);
-    simd::sigmoid_terms(level, z.data(), n, p_again.data(), nullptr);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (level == simd::Level::kAVX2) {
-        // Documented polynomial envelope: a few ULP relative, plus an
-        // absolute floor for the clamped saturation tail.
-        EXPECT_NEAR(p[i], p_ref[i], 1e-6f * std::abs(p_ref[i]) + 2e-7f)
-            << "z=" << z[i];
-        EXPECT_NEAR(l[i], l_ref[i], 1e-5f * std::abs(l_ref[i]) + 1.2e-38f)
-            << "z=" << z[i];
-      } else {
-        // Scalar and SSE2 share the libm path bitwise.
-        EXPECT_EQ(std::memcmp(p.data(), p_ref.data(), n * sizeof(float)), 0);
-        EXPECT_EQ(std::memcmp(l.data(), l_ref.data(), n * sizeof(float)), 0);
-      }
-    }
-    // The sigmoid-only entry point (null log_term) matches, and a
-    // repeated call is bitwise stable at every level.
-    EXPECT_EQ(std::memcmp(p.data(), p_again.data(), n * sizeof(float)), 0)
-        << simd::level_name(level);
-  }
+  std::vector<float> p_only(n);
+  simd::sigmoid_terms(z.data(), n, p_only.data(), nullptr);
+  EXPECT_EQ(std::memcmp(p_only.data(), p.data(), n * sizeof(float)), 0);
 }
 
 TEST(SimdDispatch, SigmoidTermsSupportInPlace) {
   std::vector<float> z = {-3.0f, -1.0f, 0.0f, 0.25f, 2.0f, 5.0f, -9.0f};
-  for (const simd::Level level : available_levels()) {
-    std::vector<float> expected(z.size());
-    simd::sigmoid_terms(level, z.data(), z.size(), expected.data(), nullptr);
-    std::vector<float> buf = z;
-    simd::sigmoid_terms(level, buf.data(), buf.size(), buf.data(), nullptr);
-    EXPECT_EQ(
-        std::memcmp(buf.data(), expected.data(), buf.size() * sizeof(float)),
-        0)
-        << simd::level_name(level);
-  }
+  std::vector<float> expected(z.size());
+  simd::sigmoid_terms(z.data(), z.size(), expected.data(), nullptr);
+  simd::sigmoid_terms(z.data(), z.size(), z.data(), nullptr);
+  EXPECT_EQ(
+      std::memcmp(z.data(), expected.data(), z.size() * sizeof(float)), 0);
 }
 
 // --- serial cutoff --------------------------------------------------------
@@ -618,8 +564,9 @@ core::ProfilerConfig micro_profiler_config() {
 }
 
 /// Everything observable about a profiler run that determinism must pin:
-/// repository structure, validation scores, decision-model outputs, and
-/// the engine's frame-by-frame behaviour (sequential and batch paths).
+/// repository structure, validation scores, decision-model outputs, the
+/// engine's frame-by-frame behaviour (sequential and batch paths), and a
+/// fault-injected engine's replay hash.
 struct RunSnapshot {
   std::vector<std::string> model_names;
   std::vector<double> validation_f1;
@@ -634,10 +581,12 @@ struct RunSnapshot {
   std::vector<double> batch_confidence_sequence;
   std::size_t detection_count = 0;
   std::size_t batch_detection_count = 0;
+  std::uint64_t fault_hash = 0;
 };
 
-RunSnapshot run_profiler_snapshot(std::size_t threads) {
+RunSnapshot run_profiler_snapshot(std::size_t threads, simd::Level level) {
   par::set_thread_count(threads);
+  const SimdLevelGuard simd_guard(level);
   world::World world = world::make_benchmark_world(micro_world_config());
   Rng rng(7);
   core::ProfilerReport report;
@@ -680,36 +629,47 @@ RunSnapshot run_profiler_snapshot(std::size_t threads) {
     snap.batch_confidence_sequence.push_back(result.top1_confidence);
     snap.batch_detection_count += result.detections.size();
   }
+  core::EngineConfig faulty_config = engine_config;
+  faulty_config.faults = std::make_shared<fault::FaultInjector>(
+      "seed=5,model_load=0.3,decision_output=0.1,frame_payload=0.1");
+  core::AnoleEngine faulty_engine(system, faulty_config);
+  for (const world::Frame* frame : sample) (void)faulty_engine.process(*frame);
+  snap.fault_hash = faulty_engine.faults()->trace_hash();
   return snap;
 }
 
+void expect_same_run(const RunSnapshot& want, const RunSnapshot& got,
+                     const std::string& where) {
+  EXPECT_EQ(want.model_names, got.model_names) << where;
+  EXPECT_EQ(want.validation_f1, got.validation_f1) << where;
+  EXPECT_EQ(want.cluster_k, got.cluster_k) << where;
+  EXPECT_EQ(want.scene_classes, got.scene_classes) << where;
+  EXPECT_EQ(want.encoder_accuracy, got.encoder_accuracy) << where;
+  EXPECT_EQ(want.decision_samples, got.decision_samples) << where;
+  EXPECT_EQ(want.suitability, got.suitability) << where;
+  EXPECT_EQ(want.served_sequence, got.served_sequence) << where;
+  EXPECT_EQ(want.confidence_sequence, got.confidence_sequence) << where;
+  EXPECT_EQ(want.detection_count, got.detection_count) << where;
+  EXPECT_EQ(want.fault_hash, got.fault_hash) << where;
+  // Batch processing must match sequential processing exactly.
+  EXPECT_EQ(got.served_sequence, got.batch_served_sequence) << where;
+  EXPECT_EQ(got.confidence_sequence, got.batch_confidence_sequence) << where;
+  EXPECT_EQ(got.detection_count, got.batch_detection_count) << where;
+}
+
 TEST(PipelineDeterminism, ProfilerAndEngineIdenticalAtOneAndFourThreads) {
+  // The scalar single-thread run is the reference; every dispatch level
+  // at 4 threads must reproduce it bit for bit, fault replay hash
+  // included.
   ThreadCountGuard guard;
   set_log_level(LogLevel::kError);
-  const RunSnapshot serial = run_profiler_snapshot(1);
-  const RunSnapshot parallel = run_profiler_snapshot(4);
-
+  const RunSnapshot serial = run_profiler_snapshot(1, simd::Level::kScalar);
   ASSERT_FALSE(serial.model_names.empty());
-  EXPECT_EQ(serial.model_names, parallel.model_names);
-  EXPECT_EQ(serial.validation_f1, parallel.validation_f1);
-  EXPECT_EQ(serial.cluster_k, parallel.cluster_k);
-  EXPECT_EQ(serial.scene_classes, parallel.scene_classes);
-  EXPECT_EQ(serial.encoder_accuracy, parallel.encoder_accuracy);
-  EXPECT_EQ(serial.decision_samples, parallel.decision_samples);
-  EXPECT_EQ(serial.suitability, parallel.suitability);
-  EXPECT_EQ(serial.served_sequence, parallel.served_sequence);
-  EXPECT_EQ(serial.confidence_sequence, parallel.confidence_sequence);
-  EXPECT_EQ(serial.detection_count, parallel.detection_count);
-
-  // Batch processing must match sequential processing exactly, at both
-  // thread counts.
-  EXPECT_EQ(serial.served_sequence, serial.batch_served_sequence);
-  EXPECT_EQ(serial.confidence_sequence, serial.batch_confidence_sequence);
-  EXPECT_EQ(serial.detection_count, serial.batch_detection_count);
-  EXPECT_EQ(parallel.served_sequence, parallel.batch_served_sequence);
-  EXPECT_EQ(parallel.confidence_sequence,
-            parallel.batch_confidence_sequence);
-  EXPECT_EQ(parallel.detection_count, parallel.batch_detection_count);
+  expect_same_run(serial, serial, "scalar 1T");
+  for (const simd::Level level : available_levels()) {
+    expect_same_run(serial, run_profiler_snapshot(4, level),
+                    std::string(simd::level_name(level)) + " 4T");
+  }
 }
 
 }  // namespace

@@ -355,8 +355,9 @@ TEST(QuantizeRowInt16, SameCodesAndScaleAtEveryLevel) {
   // 0-48 cover the vector bodies and their masked / stack-padded tails,
   // and the row stride is either the depth or 3 wider. Rows rotate
   // through random values, a NaN, a NaN with +-Inf, -Inf alone, denormals
-  // (one row whose scale underflows to 1, one whose scale stays a
-  // denormal), and all zeros (with a -0). Non-finite elements follow one
+  // (one row whose scale underflows to 1, one of magnitude ~1e-39 whose
+  // scale's inverse would overflow, so its scale is 1 and every code 0),
+  // and all zeros (with a -0). Non-finite elements follow one
   // rule: NaN is left out of the scale and saturates to -127, +-Inf
   // saturates. Every level must match the scalar level and the public
   // int8 row quantizer, write each row's padding with zeros, and leave
@@ -460,14 +461,30 @@ TEST(QuantizeRowInt16, SameCodesAndScaleAtEveryLevel) {
     EXPECT_EQ(scale, 2.0f / 127.0f) << simd::level_name(level);
   }
   // A maximum of at most 63 denormal steps gives a zero quotient and
-  // scale 1; a larger denormal maximum keeps its denormal scale.
+  // scale 1.
   float scale = 0.0f;
   const std::vector<float> underflow = {63 * tiny, -tiny};
   simd::quantize_rows_int16(simd::Level::kScalar, underflow.data(), 1, 2, 2,
                             codes.data(), codes.size(), &scale);
   EXPECT_EQ(scale, 1.0f);
-  EXPECT_EQ(simd::row_scale_for(1e-39f), 1e-39f / 127.0f);
+  // A larger maximum below ~3.7e-37 has a nonzero quotient whose inverse
+  // overflows: scale 1 too, so zeros stay 0 instead of saturating to
+  // -127 (0 * inf is NaN), at every level.
   EXPECT_GT(1e-39f / 127.0f, 0.0f);
+  EXPECT_EQ(1.0f / (1e-39f / 127.0f), inf);
+  EXPECT_EQ(simd::row_scale_for(1e-39f), 1.0f);
+  EXPECT_EQ(simd::row_scale_for(3.8e-37f), 3.8e-37f / 127.0f);
+  const std::vector<float> tiny_row = {0.0f, 1e-39f, -0.0f, -5e-40f, 0.0f};
+  for (const simd::Level level : available_levels()) {
+    std::vector<std::int16_t> tiny_codes(simd::kQgemmDepthMultiple, 99);
+    scale = 0.0f;
+    simd::quantize_rows_int16(level, tiny_row.data(), 1, tiny_row.size(),
+                              tiny_row.size(), tiny_codes.data(),
+                              tiny_codes.size(), &scale);
+    EXPECT_EQ(scale, 1.0f) << simd::level_name(level);
+    EXPECT_EQ(tiny_codes, std::vector<std::int16_t>(tiny_codes.size(), 0))
+        << simd::level_name(level);
+  }
   EXPECT_EQ(simd::quantize_code(nan, 1.0f), -127);
   EXPECT_EQ(simd::quantize_code(-inf, 1.0f), -127);
 }
@@ -541,12 +558,6 @@ TEST(SimdUpperState, AvxKernelsReturnWithCleanUpperYmm) {
                    weights.data(), channel_scales.data(), nullptr, y.data());
   EXPECT_EQ(ymm_upper_in_use(), false) << "qgemm_rows";
 
-  const Tensor logits = random_matrix(1, 37, rng);
-  std::vector<float> z(logits.data().begin(), logits.data().end());
-  std::vector<float> log_term(z.size());
-  simd::sigmoid_terms(kAvx2, z.data(), z.size(), z.data(), log_term.data());
-  EXPECT_EQ(ymm_upper_in_use(), false) << "sigmoid_terms";
-
   const std::vector<float> point = {0.5f, -1.0f, 2.0f};
   const std::vector<double> centroids_t(3 * 8, 0.25);
   std::vector<double> dist(8);
@@ -588,10 +599,9 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
 
 TEST(GemmEdgeShapes, RowVectorColumnVectorAndK1) {
   Rng rng(12);
-  // (1 x k)(k x n), (m x k)(k x 1), k = 1, and 1x1x1. The fp32 kernels
-  // run under every exact (non-FMA) dispatch level — scalar and SSE2
-  // share the naive reference's rounding bit for bit; the int8 path is
-  // exact at every level including AVX2.
+  // (1 x k)(k x n), (m x k)(k x 1), k = 1, and 1x1x1. Every fp32 entry
+  // point matches the naive reference's rounding bit for bit, and the
+  // int8 path its integer reference, at every dispatch level.
   for (const auto& [m, k, n] :
        std::vector<std::array<std::size_t, 3>>{
            {1, 17, 9}, {9, 17, 1}, {6, 1, 6}, {1, 1, 1}}) {
@@ -599,23 +609,19 @@ TEST(GemmEdgeShapes, RowVectorColumnVectorAndK1) {
     const Tensor b = random_matrix(k, n, rng);
     for (const simd::Level level : available_levels()) {
       SimdLevelGuard simd_guard(level);
-      if (level != simd::Level::kAVX2) {
-        EXPECT_TRUE(bitwise_equal(matmul(a, b), naive_matmul(a, b)))
-            << "matmul " << m << "x" << k << "x" << n << " "
-            << simd::level_name(level);
+      EXPECT_TRUE(bitwise_equal(matmul(a, b), naive_matmul(a, b)))
+          << "matmul " << m << "x" << k << "x" << n << " "
+          << simd::level_name(level);
 
-        const Tensor at = transpose(a);
-        EXPECT_TRUE(
-            bitwise_equal(matmul_transpose_a(at, b), naive_matmul(a, b)))
-            << "transpose_a " << m << "x" << k << "x" << n << " "
-            << simd::level_name(level);
+      const Tensor at = transpose(a);
+      EXPECT_TRUE(bitwise_equal(matmul_transpose_a(at, b), naive_matmul(a, b)))
+          << "transpose_a " << m << "x" << k << "x" << n << " "
+          << simd::level_name(level);
 
-        const Tensor bt = transpose(b);
-        EXPECT_TRUE(
-            bitwise_equal(matmul_transpose_b(a, bt), naive_matmul(a, b)))
-            << "transpose_b " << m << "x" << k << "x" << n << " "
-            << simd::level_name(level);
-      }
+      const Tensor bt = transpose(b);
+      EXPECT_TRUE(bitwise_equal(matmul_transpose_b(a, bt), naive_matmul(a, b)))
+          << "transpose_b " << m << "x" << k << "x" << n << " "
+          << simd::level_name(level);
 
       const QuantizedMatrix q = quantize_weights(b);
       EXPECT_TRUE(bitwise_equal(qgemm(a, q), reference_qgemm(a, q, {})))
