@@ -1,11 +1,10 @@
 // Micro-benchmarks of the hot paths.
 //
-// Default mode runs a deterministic timing suite over the parallel +
-// SIMD execution layers — matmul GFLOP/s, int8 qgemm vs fp32 matmul at
-// a detector layer shape, the int8 row quantizer and dot kernel timed
-// apart at both detector layer shapes and every dispatch level, k-means
-// wall time, OSP end-to-end wall time,
-// and engine batch throughput. Every kernel is timed against a pinned
+// A deterministic timing suite over the parallel + SIMD execution layers
+// — matmul GFLOP/s, int8 qgemm vs fp32 matmul at a detector layer shape,
+// the int8 row quantizer and dot kernel timed apart at both detector
+// layer shapes and every dispatch level, k-means wall time, OSP
+// end-to-end wall time, and engine batch throughput. Every kernel is timed against a pinned
 // scalar 1-thread reference (the headline "speedup" is active dispatch
 // level at 4 pool threads vs that reference) and at 1/2/4 pool threads
 // at the active level (the "thread_scaling" sections). The suite
@@ -17,13 +16,6 @@
 // working directory. Exit is non-zero on a determinism failure, on a
 // k-means/qgemm 4-thread slowdown, or — when a vector level is active —
 // on a speedup below the committed floors.
-//
-// `bench_micro --gbench [google-benchmark flags]` instead runs the
-// google-benchmark suite (tensor matmul, detector forward, featurization,
-// k-means, Thompson sampling rounds, cache admission), which measures this
-// host's actual per-operation cost and complements the calibrated device
-// simulator used by the table/figure benches.
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -40,128 +32,14 @@
 #include "core/engine.hpp"
 #include "core/model_cache.hpp"
 #include "core/quantize.hpp"
-#include "detect/grid_detector.hpp"
-#include "sampling/thompson.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/simd.hpp"
 #include "util/parallel.hpp"
-#include "world/featurizer.hpp"
 #include "world/world.hpp"
 
 namespace {
 
 using namespace anole;
-
-void BM_TensorMatmul(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  Tensor a = Tensor::matrix(n, n);
-  Tensor b = Tensor::matrix(n, n);
-  for (auto& v : a.data()) v = static_cast<float>(rng.normal());
-  for (auto& v : b.data()) v = static_cast<float>(rng.normal());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(a, b));
-  }
-  state.SetComplexityN(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_TensorMatmul)->Arg(16)->Arg(64)->Arg(128)->Complexity();
-
-world::Frame make_frame(std::uint64_t seed) {
-  Rng rng(seed);
-  world::FrameGenerator generator;
-  const world::SceneAttributes attrs{world::Weather::kClear,
-                                     world::Location::kUrban,
-                                     world::TimeOfDay::kDaytime};
-  const auto style = world::SceneStyle::from_attributes(attrs);
-  std::vector<world::ObjectInstance> objects;
-  for (int i = 0; i < 5; ++i) objects.push_back(generator.sample_object(style, rng));
-  return generator.render(style, attrs, objects, rng);
-}
-
-void BM_DetectorCompressed(benchmark::State& state) {
-  Rng rng(2);
-  detect::GridDetector detector(detect::GridDetectorConfig::compressed(),
-                                rng);
-  const auto frame = make_frame(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.infer(frame));
-  }
-}
-BENCHMARK(BM_DetectorCompressed);
-
-void BM_DetectorLarge(benchmark::State& state) {
-  Rng rng(2);
-  detect::GridDetector detector(detect::GridDetectorConfig::large(), rng);
-  const auto frame = make_frame(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.infer(frame));
-  }
-}
-BENCHMARK(BM_DetectorLarge);
-
-void BM_FrameFeaturize(benchmark::State& state) {
-  const world::FrameFeaturizer featurizer;
-  const auto frame = make_frame(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(featurizer.featurize(frame));
-  }
-}
-BENCHMARK(BM_FrameFeaturize);
-
-void BM_FrameRender(benchmark::State& state) {
-  Rng rng(5);
-  world::FrameGenerator generator;
-  const world::SceneAttributes attrs{world::Weather::kRainy,
-                                     world::Location::kHighway,
-                                     world::TimeOfDay::kNight};
-  const auto style = world::SceneStyle::from_attributes(attrs);
-  std::vector<world::ObjectInstance> objects;
-  for (int i = 0; i < 5; ++i) objects.push_back(generator.sample_object(style, rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.render(style, attrs, objects, rng));
-  }
-}
-BENCHMARK(BM_FrameRender);
-
-void BM_KMeans(benchmark::State& state) {
-  Rng rng(6);
-  const std::size_t n = 200;
-  Tensor points = Tensor::matrix(n, 48);
-  for (auto& v : points.data()) v = static_cast<float>(rng.normal());
-  cluster::KMeansConfig config;
-  config.clusters = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    Rng inner(7);
-    benchmark::DoNotOptimize(cluster::kmeans(points, config, inner));
-  }
-}
-BENCHMARK(BM_KMeans)->Arg(2)->Arg(8)->Arg(16);
-
-void BM_ThompsonRound(benchmark::State& state) {
-  std::vector<std::size_t> sizes(19, 500);
-  sampling::AdaptiveSceneSampler sampler(sizes, 0.9);
-  Rng rng(8);
-  for (auto _ : state) {
-    const auto arm = sampler.next_arm(rng);
-    if (arm) sampler.record_draw(*arm);
-  }
-}
-BENCHMARK(BM_ThompsonRound);
-
-void BM_CacheAdmit(benchmark::State& state) {
-  core::CacheConfig config;
-  config.capacity = 5;
-  core::ModelCache cache(19, config);
-  Rng rng(9);
-  std::vector<std::size_t> ranking = random_permutation(19, rng);
-  for (auto _ : state) {
-    rng.shuffle(ranking);
-    benchmark::DoNotOptimize(cache.admit(ranking));
-  }
-}
-BENCHMARK(BM_CacheAdmit);
-
-// --- Deterministic JSON suite --------------------------------------------
 
 /// Thread count the parallel numbers are reported at.
 constexpr std::size_t kBenchThreads = 4;
@@ -224,13 +102,13 @@ GemmSample time_qgemm(std::size_t m, std::size_t k, std::size_t n, int reps,
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
       Tensor c = matmul(x, w);
-      benchmark::DoNotOptimize(c.data().data());
+      bench::do_not_optimize(c.data().data());
     }
     best_fp32 = std::min(best_fp32, seconds_since(start));
     start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
       Tensor c = qgemm(x, q);
-      benchmark::DoNotOptimize(c.data().data());
+      bench::do_not_optimize(c.data().data());
     }
     best_int8 = std::min(best_int8, seconds_since(start));
   }
@@ -279,8 +157,7 @@ LayerKernelSample time_layer_kernels(simd::Level level, std::size_t m,
     for (int it = 0; it < iters; ++it) {
       simd::quantize_rows_int16(level, x.data().data(), m, k, k, xq.data(),
                                 kp, xscale.data());
-      benchmark::DoNotOptimize(xq.data());
-      benchmark::ClobberMemory();
+      bench::do_not_optimize(xq.data());
     }
     best_quantize = std::min(best_quantize, seconds_since(start));
     start = std::chrono::steady_clock::now();
@@ -288,8 +165,7 @@ LayerKernelSample time_layer_kernels(simd::Level level, std::size_t m,
       simd::qgemm_rows(level, 0, m, n, q.depth_pairs, q.channel_stride,
                        xq.data(), kp, xscale.data(), q.interleaved.data(),
                        q.scales.data(), bias.data(), sample.output.data());
-      benchmark::DoNotOptimize(sample.output.data());
-      benchmark::ClobberMemory();
+      bench::do_not_optimize(sample.output.data());
     }
     best_dot = std::min(best_dot, seconds_since(start));
   }
@@ -356,7 +232,7 @@ double time_artifact_load(const std::string& blob, int reps) {
     const auto start = std::chrono::steady_clock::now();
     core::AnoleSystem loaded = core::load_system(in);
     best = std::min(best, seconds_since(start));
-    benchmark::DoNotOptimize(loaded.model_count());
+    bench::do_not_optimize(&loaded);
   }
   return best;
 }
@@ -593,9 +469,9 @@ int run_json_suite() {
                "[bench_micro] quantize pass + artifact v2/v3 loads...\n");
   const QuantArtifactSample quant = time_quant_artifact(osp_out->system);
   // time_quant_artifact leaves the system dequantized; re-quantize it
-  // (untimed) so the engine bench serves the production int8 fast path
-  // (ANOLE_QUANT defaults on). The int8 kernels are bitwise identical at
-  // every dispatch level, so the digests below stay comparable.
+  // (untimed) so the engine bench serves the production int8 fast path.
+  // The int8 kernels are bitwise identical at every dispatch level, so
+  // the digests below stay comparable.
   (void)core::quantize_system(osp_out->system);
 
   // Engine batch throughput over the same trained system at every thread
@@ -851,16 +727,4 @@ int run_json_suite() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--gbench") == 0) {
-    // Shift out the --gbench flag so google-benchmark sees its own flags.
-    for (int i = 1; i + 1 < argc; ++i) argv[i] = argv[i + 1];
-    --argc;
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
-  return run_json_suite();
-}
+int main() { return run_json_suite(); }

@@ -35,6 +35,12 @@ inline core::ProfilerConfig standard_profiler_config() {
   return config;
 }
 
+/// Keeps the compiler from discarding a timed computation: the memory
+/// behind `p` counts as read and all memory as clobbered. Emits no code.
+inline void do_not_optimize(const void* p) {
+  asm volatile("" : : "g"(p) : "memory");
+}
+
 inline core::CacheConfig standard_cache_config() {
   core::CacheConfig config;
   config.capacity = 5;

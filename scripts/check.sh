@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-# Full correctness gate, ten named stages:
+# Full correctness gate, nine named stages:
 #
 #   lint      repo lint (token analyzer) + analyzer self-test
 #   release   Release build + tests (warnings are errors)
 #   asan      ASan+UBSan Debug build + tests
 #   tsan      TSan build + tests (thread pool race check)
 #   faults    tier-1 tests under a canned ANOLE_FAULTS schedule (ASan)
-#   quant     tier-1 tests with ANOLE_QUANT=1 (ASan)
-#   simd      tier-1 tests under forced SIMD dispatch levels (Release)
+#   simd      tier-1 tests at the scalar and SSE2 dispatch levels (Release)
 #   soak      10k-frame governor soak under overload faults (ASan)
 #   scenarios tier-1 tests under a canned ANOLE_SCENARIO (ASan)
 #   tidy      static-analysis gate: analyzer + ratchet + clang-tidy
@@ -100,24 +99,12 @@ stage_faults() {
     ctest --test-dir build-asan --output-on-failure -j "$jobs"
 }
 
-stage_quant() {
-  # Forces the int8 fast path on explicitly (it is also the default) so the
-  # quantized kernels, the artifact v3 sections, and the engine's precision
-  # accounting run under ASan+UBSan even if a future change flips the
-  # default off.
-  ANOLE_QUANT=1 ctest --test-dir build-asan --output-on-failure -j "$jobs"
-}
-
 stage_simd() {
   # Pins the SIMD dispatch level below the host's detected one so the
   # scalar/SSE2 kernels — normally shadowed by AVX2 — run the full tier-1
-  # suite. avx2 is forced explicitly when the host supports it, covering
-  # the clamp path and the AVX2 kernels regardless of future defaults.
+  # suite. The detected level already ran in the release stage.
   ANOLE_SIMD=scalar ctest --test-dir build --output-on-failure -j "$jobs" &&
-  ANOLE_SIMD=sse2 ctest --test-dir build --output-on-failure -j "$jobs" &&
-  if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-    ANOLE_SIMD=avx2 ctest --test-dir build --output-on-failure -j "$jobs"
-  fi
+  ANOLE_SIMD=sse2 ctest --test-dir build --output-on-failure -j "$jobs"
 }
 
 stage_soak() {
@@ -159,7 +146,6 @@ run_stage release "Release build + tests (warnings are errors)"    stage_release
 run_stage asan    "ASan+UBSan Debug build + tests"                 stage_asan
 run_stage tsan    "TSan build + tests (thread pool race check)"    stage_tsan
 run_stage faults  "tier-1 tests under injected faults (ASan)"      stage_faults
-run_stage quant   "tier-1 tests with ANOLE_QUANT=1 (ASan)"         stage_quant
 run_stage simd    "tier-1 tests under forced SIMD levels"          stage_simd
 run_stage soak    "governor soak: 10k frames under faults (ASan)"  stage_soak
 run_stage scenarios "tier-1 tests under ANOLE_SCENARIO (ASan)"     stage_scenarios

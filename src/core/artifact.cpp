@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "nn/quantize.hpp"
+#include "core/quantize.hpp"
 #include "nn/serialize.hpp"
 
 namespace anole::core {
@@ -13,7 +13,6 @@ namespace {
 
 constexpr std::array<char, 8> kMagic = {'A', 'N', 'O', 'L',
                                         'E', 'S', 'Y', 'S'};
-constexpr std::uint32_t kVersionLegacy = 1;
 constexpr std::uint32_t kVersionSections = 2;
 
 using nn::read_pod;
@@ -61,9 +60,8 @@ std::vector<std::size_t> read_size_vector(std::istream& in) {
   return values;
 }
 
-// --- section payloads (shared between the v1 inline layout and the v2
-// sectioned layout; each function reads/writes exactly one logical unit
-// from the given stream) ---
+// --- section payloads (each function reads/writes exactly one logical
+// unit from the given stream) ---
 
 void write_scene_index(std::ostream& out, AnoleSystem& system) {
   write_size_vector(out, system.scene_index.semantic_ids());
@@ -207,18 +205,6 @@ void read_decision_v3(std::istream& in, AnoleSystem& system, Rng& rng) {
   nn::load_network(system.decision->head(), in);
 }
 
-/// True when any network in the system carries a quantized layer; v1/v2
-/// writers must reject such systems (their fp32 parameter walk would
-/// silently drop quantized weights).
-bool any_quantized(AnoleSystem& system) {
-  for (std::size_t m = 0; m < system.repository.size(); ++m) {
-    if (nn::is_quantized(system.repository.model(m).detector->network())) {
-      return true;
-    }
-  }
-  return system.decision && nn::is_quantized(system.decision->head());
-}
-
 void write_decision(std::ostream& out, AnoleSystem& system) {
   write_pod(out,
             static_cast<std::uint64_t>(system.decision->config().hidden_width));
@@ -259,26 +245,6 @@ void write_section(std::ostream& out, std::uint32_t tag, WriteBody&& body) {
   write_pod(out, static_cast<std::uint64_t>(payload.size()));
   write_pod(out, nn::crc32(payload.data(), payload.size()));
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-}
-
-void save_system_v1(AnoleSystem& system, std::ostream& out) {
-  write_scene_index(out, system);
-  write_encoder(out, system);
-  write_pod(out, static_cast<std::uint32_t>(system.repository.size()));
-  for (std::size_t m = 0; m < system.repository.size(); ++m) {
-    write_model(out, system.repository.model(m));
-  }
-  write_decision(out, system);
-}
-
-void load_system_v1(std::istream& in, AnoleSystem& system, Rng& rng) {
-  read_scene_index(in, system);
-  read_encoder(in, system, rng);
-  const auto model_count = read_pod<std::uint32_t>(in);
-  for (std::uint32_t m = 0; m < model_count; ++m) {
-    system.repository.add(read_model(in, rng));
-  }
-  read_decision(in, system, rng);
 }
 
 void save_system_sections(AnoleSystem& system, std::ostream& out,
@@ -443,23 +409,20 @@ void save_system(AnoleSystem& system, std::ostream& out,
   if (!system.encoder || !system.decision) {
     throw std::runtime_error("save_system: incomplete system");
   }
-  if (version != kVersionLegacy && version != kVersionSections &&
-      version != kArtifactVersion) {
+  if (version != kVersionSections && version != kArtifactVersion) {
     throw std::runtime_error("save_system: unsupported version " +
                              std::to_string(version));
   }
-  if (version < kArtifactVersion && any_quantized(system)) {
+  // The v2 writer's fp32 parameter walk would silently drop quantized
+  // weights.
+  if (version < kArtifactVersion && system_is_quantized(system)) {
     throw std::runtime_error(
         "save_system: version " + std::to_string(version) +
         " cannot represent quantized layers; use v3 or dequantize first");
   }
   out.write(kMagic.data(), kMagic.size());
   write_pod(out, version);
-  if (version == kVersionLegacy) {
-    save_system_v1(system, out);
-  } else {
-    save_system_sections(system, out, version);
-  }
+  save_system_sections(system, out, version);
   if (!out) throw std::runtime_error("save_system: write failed");
 }
 
@@ -476,25 +439,10 @@ AnoleSystem load_system(std::istream& in, fault::FaultInjector* faults) {
   // irrelevant; a fixed seed keeps loading deterministic anyway.
   Rng rng(0xA401EULL);
 
-  if (version == kVersionLegacy) {
-    load_system_v1(in, system, rng);
-  } else if (version == kVersionSections || version == kArtifactVersion) {
-    load_system_sections(in, system, faults, rng, version);
-  } else {
+  if (version != kVersionSections && version != kArtifactVersion) {
     throw std::runtime_error("load_system: unsupported version");
   }
-  // The ANOLE_QUANT=0 escape hatch: serve fp32 even from a quantized
-  // artifact (the dequantized weights are the codes the int8 kernel
-  // would have used, so accuracy is unchanged; only speed is).
-  if (!nn::quantization_enabled()) {
-    for (std::size_t m = 0; m < system.repository.size(); ++m) {
-      nn::dequantize_linear_layers(
-          system.repository.model(m).detector->network());
-    }
-    if (system.decision) {
-      nn::dequantize_linear_layers(system.decision->head());
-    }
-  }
+  load_system_sections(in, system, faults, rng, version);
   return system;
 }
 

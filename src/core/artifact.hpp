@@ -14,7 +14,8 @@
 // does not abort the load: the slot gets a placeholder detector, the
 // model id is recorded in AnoleSystem::damaged_models, and the engine
 // quarantines it permanently. Corruption in a vital section throws.
-// Version-1 blobs (unsectioned, no checksums) still load.
+// Only v2 and v3 load; any other version, including the unsectioned v1,
+// fails as unsupported.
 //
 // Format v3 (quantized sections, DESIGN.md §10) keeps v2's framing —
 // identical blob header, section headers, CRC-32 policy, and recovery
@@ -23,9 +24,9 @@
 // int8-quantized layers ship as int8 weights + fp16 scales (~4x fewer
 // bytes on a cache miss). The encoder section stays fp32 (its trunk is
 // shared with the decision head and is never quantized). Saving a
-// quantized system requires v3; v1/v2 writers reject it rather than
-// silently dropping quantized weights. Loads honor ANOLE_QUANT=0 by
-// dequantizing every network to fp32 before returning.
+// quantized system requires v3; the v2 writer rejects it rather than
+// silently dropping quantized weights. A caller that wants fp32 from a
+// v3 blob calls core::dequantize_system() after loading.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +42,10 @@ inline constexpr std::uint32_t kArtifactVersion = 3;
 
 /// Writes the full system (scene index, M_scene, every compressed model
 /// with its metadata, M_decision head) to `out`. `version` selects the
-/// blob format (1 = legacy unsectioned, 2 = CRC-guarded fp32
-/// sections, 3 = CRC-guarded sections with compact quantized payloads).
-/// Throws std::runtime_error on I/O failure, and when `version` < 3
-/// and the system carries quantized layers (older formats cannot
-/// represent them).
+/// blob format (2 = CRC-guarded fp32 sections, 3 = CRC-guarded sections
+/// with compact quantized payloads). Throws std::runtime_error on I/O
+/// failure, on any other version, and when `version` is 2 and the system
+/// carries quantized layers (v2 cannot represent them).
 void save_system(AnoleSystem& system, std::ostream& out,
                  std::uint32_t version = kArtifactVersion);
 
@@ -55,9 +55,10 @@ void save_system(AnoleSystem& system, std::ostream& out,
 /// data). Models whose v2 sections fail their checksum are replaced by
 /// placeholders and listed in AnoleSystem::damaged_models. Throws
 /// std::runtime_error on malformed vital input or when every model is
-/// damaged. `faults` (optional, site `artifact_section`) deterministically
-/// flips one bit per hit section before verification, simulating storage
-/// rot; pass nullptr for a faithful load.
+/// damaged, and on a version other than 2 or 3. `faults` (optional, site
+/// `artifact_section`) deterministically flips one bit per hit section
+/// before verification, simulating storage rot; pass nullptr for a
+/// faithful load.
 AnoleSystem load_system(std::istream& in,
                         fault::FaultInjector* faults = nullptr);
 

@@ -167,7 +167,7 @@ class AnoleEngine {
   /// admissible.
   std::size_t degraded_frames() const { return degraded_frames_; }
 
-  /// --- active-precision introspection (artifact v3 / ANOLE_QUANT) ---
+  /// --- active-precision introspection (artifact v3) ---
 
   /// Frames whose serving detector ran int8.
   std::size_t quantized_frames() const { return quantized_frames_; }

@@ -22,25 +22,17 @@ bool governor_enabled_from_env() {
   return value == nullptr || std::string_view(value) != "0";
 }
 
-RuntimeGovernor::RuntimeGovernor(GovernorConfig config)
-    : config_(config) {
-  ANOLE_CHECK_GE(config_.window, 1u, "GovernorConfig: window must be >= 1");
-  ANOLE_CHECK_GE(config_.ranking_refresh_period, 1u,
-                 "GovernorConfig: ranking_refresh_period must be >= 1");
-  ANOLE_CHECK_GE(config_.shed_period, 2u,
-                 "GovernorConfig: shed_period must be >= 2 so shedding "
-                 "never drops every frame");
-  ANOLE_CHECK(config_.throttle_exit_rate <= config_.throttle_enter_rate,
-              "GovernorConfig: throttle_exit_rate must not exceed "
-              "throttle_enter_rate (hysteresis)");
-  ANOLE_CHECK(config_.shed_exit_rate <= config_.shed_enter_rate,
-              "GovernorConfig: shed_exit_rate must not exceed "
-              "shed_enter_rate (hysteresis)");
-  ANOLE_CHECK(config_.throttle_enter_rate <= config_.shed_enter_rate,
-              "GovernorConfig: shed_enter_rate must be at least "
-              "throttle_enter_rate");
-  window_.assign(config_.window, 0);
-}
+// The hysteresis ordering the state machine relies on.
+static_assert(RuntimeGovernor::kWindow >= 1);
+static_assert(RuntimeGovernor::kRankingRefreshPeriod >= 1);
+static_assert(RuntimeGovernor::kShedPeriod >= 2,
+              "shedding must never drop every frame");
+static_assert(RuntimeGovernor::kThrottleExitRate <=
+              RuntimeGovernor::kThrottleEnterRate);
+static_assert(RuntimeGovernor::kShedExitRate <=
+              RuntimeGovernor::kShedEnterRate);
+static_assert(RuntimeGovernor::kThrottleEnterRate <=
+              RuntimeGovernor::kShedEnterRate);
 
 GovernorDirective RuntimeGovernor::plan() {
   GovernorDirective directive;
@@ -52,10 +44,9 @@ GovernorDirective RuntimeGovernor::plan() {
   if (state_ == GovernorState::kNormal) return directive;
 
   directive.allow_swap = false;
-  directive.refresh_ranking =
-      (in_state % config_.ranking_refresh_period) == 0;
+  directive.refresh_ranking = (in_state % kRankingRefreshPeriod) == 0;
   if (state_ == GovernorState::kShedding &&
-      (in_state % config_.shed_period) == config_.shed_period - 1) {
+      (in_state % kShedPeriod) == kShedPeriod - 1) {
     directive.drop_frame = true;
     ++dropped_;
     trace_.push_back(GovernorEvent{planned_ - 1, state_, state_,
@@ -94,25 +85,25 @@ void RuntimeGovernor::maybe_transition() {
   const std::uint64_t in_state = planned_ - state_entered_at_;
   switch (state_) {
     case GovernorState::kNormal:
-      if (in_state < config_.min_dwell) return;
-      if (rate >= config_.shed_enter_rate) {
+      if (in_state < kMinDwell) return;
+      if (rate >= kShedEnterRate) {
         transition_to(GovernorState::kShedding);
-      } else if (rate >= config_.throttle_enter_rate) {
+      } else if (rate >= kThrottleEnterRate) {
         transition_to(GovernorState::kThrottled);
       }
       return;
     case GovernorState::kThrottled:
-      if (rate >= config_.shed_enter_rate &&
-          in_state >= config_.min_dwell) {
+      if (rate >= kShedEnterRate &&
+          in_state >= kMinDwell) {
         transition_to(GovernorState::kShedding);
-      } else if (rate <= config_.throttle_exit_rate &&
-                 in_state >= config_.recovery_dwell) {
+      } else if (rate <= kThrottleExitRate &&
+                 in_state >= kRecoveryDwell) {
         transition_to(GovernorState::kNormal);
       }
       return;
     case GovernorState::kShedding:
-      if (rate <= config_.shed_exit_rate &&
-          in_state >= config_.recovery_dwell) {
+      if (rate <= kShedExitRate &&
+          in_state >= kRecoveryDwell) {
         transition_to(GovernorState::kThrottled);
       }
       return;
@@ -140,7 +131,7 @@ std::uint64_t RuntimeGovernor::trace_hash() const {
 
 void RuntimeGovernor::reset() {
   state_ = GovernorState::kNormal;
-  window_.assign(config_.window, 0);
+  window_.fill(0);
   window_next_ = 0;
   window_filled_ = 0;
   window_overruns_ = 0;

@@ -5,27 +5,29 @@
 // watches a sliding window of deadline-overrun flags and moves through
 // three states with hysteresis:
 //
-//            overrun rate >= throttle_enter        rate >= shed_enter
+//            overrun rate >= 0.06                  rate >= 0.50
 //   kNormal ───────────────────────────────▶ kThrottled ───────────▶ kShedding
 //      ▲                                        │   ▲                   │
 //      └────────────────────────────────────────┘   └───────────────────┘
-//            rate <= throttle_exit (slow)           rate <= shed_exit (slow)
+//            rate <= 0.02 (slow)                    rate <= 0.10 (slow)
 //
 // - kNormal: no intervention; swaps and fresh rankings every frame.
 // - kThrottled: model swaps are suppressed (the engine serves the best
 //   *resident* model instead of streaming the top-1 miss), and the
-//   previous decision ranking is reused except every k-th frame.
-// - kShedding: in addition, every shed_period-th frame is dropped
-//   outright; the drop is recorded in the engine's Health record.
+//   previous decision ranking is reused except every 4th frame.
+// - kShedding: in addition, every 3rd frame is dropped outright; the
+//   drop is recorded in the engine's Health record.
 //
-// Escalation requires `min_dwell` planned frames in the current state;
-// de-escalation requires the longer `recovery_dwell` so a lull in a burst
+// The window, rates, dwells and periods are fixed constants (below).
+// Escalation requires kMinDwell planned frames in the current state;
+// de-escalation requires the longer kRecoveryDwell so a lull in a burst
 // does not bounce the controller (hysteresis). All time is logical — the
 // frame counter — never wall-clock, so for a fixed observation sequence
 // the state-transition trace (and its FNV-1a hash) is bitwise identical
 // across runs and thread counts. See DESIGN.md §11.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -43,32 +45,6 @@ const char* to_string(GovernorState state);
 /// True unless the environment variable ANOLE_GOVERNOR is set to "0"
 /// (read fresh on every call; tests toggle it mid-process).
 bool governor_enabled_from_env();
-
-struct GovernorConfig {
-  /// Sliding window of observed frames the overrun rate is computed over.
-  /// Transitions are only evaluated once the window is full.
-  std::size_t window = 32;
-  /// Overrun rate at/above which kNormal escalates to kThrottled.
-  double throttle_enter_rate = 0.06;
-  /// Overrun rate at/below which kThrottled recovers to kNormal.
-  double throttle_exit_rate = 0.02;
-  /// Overrun rate at/above which the governor escalates to kShedding.
-  double shed_enter_rate = 0.50;
-  /// Overrun rate at/below which kShedding de-escalates to kThrottled.
-  double shed_exit_rate = 0.10;
-  /// Planned frames that must elapse in a state before escalating.
-  std::size_t min_dwell = 16;
-  /// Planned frames that must elapse before de-escalating (hysteresis:
-  /// recovery is deliberately slower than escalation).
-  std::size_t recovery_dwell = 256;
-  /// While throttled/shedding, a fresh decision ranking is computed only
-  /// every ranking_refresh_period-th frame; the rest reuse the previous
-  /// one. Must be >= 1 (1 = refresh every frame).
-  std::size_t ranking_refresh_period = 4;
-  /// While shedding, every shed_period-th frame is dropped. Must be >= 2
-  /// so shedding never drops every frame.
-  std::size_t shed_period = 3;
-};
 
 /// One state transition (or drop decision), in logical-frame order.
 struct GovernorEvent {
@@ -95,7 +71,27 @@ struct GovernorDirective {
 
 class RuntimeGovernor {
  public:
-  explicit RuntimeGovernor(GovernorConfig config = {});
+  /// Sliding window of observed frames the overrun rate is computed over.
+  /// Transitions are only evaluated once the window is full.
+  static constexpr std::size_t kWindow = 32;
+  /// Overrun rate at/above which kNormal escalates to kThrottled.
+  static constexpr double kThrottleEnterRate = 0.06;
+  /// Overrun rate at/below which kThrottled recovers to kNormal.
+  static constexpr double kThrottleExitRate = 0.02;
+  /// Overrun rate at/above which the governor escalates to kShedding.
+  static constexpr double kShedEnterRate = 0.50;
+  /// Overrun rate at/below which kShedding de-escalates to kThrottled.
+  static constexpr double kShedExitRate = 0.10;
+  /// Planned frames that must elapse in a state before escalating.
+  static constexpr std::size_t kMinDwell = 16;
+  /// Planned frames that must elapse before de-escalating (hysteresis:
+  /// recovery is deliberately slower than escalation).
+  static constexpr std::size_t kRecoveryDwell = 256;
+  /// While throttled/shedding, a fresh decision ranking is computed only
+  /// every kRankingRefreshPeriod-th frame; the rest reuse the previous one.
+  static constexpr std::size_t kRankingRefreshPeriod = 4;
+  /// While shedding, every kShedPeriod-th frame is dropped.
+  static constexpr std::size_t kShedPeriod = 3;
 
   /// Called once per frame *before* the engine executes it; advances the
   /// logical clock and returns the serving directive for this frame.
@@ -107,7 +103,6 @@ class RuntimeGovernor {
   void observe(double latency_ms, bool deadline_overrun);
 
   GovernorState state() const { return state_; }
-  const GovernorConfig& config() const { return config_; }
 
   /// Frames planned (plan() calls) / dropped so far.
   std::uint64_t frames_planned() const { return planned_; }
@@ -126,18 +121,16 @@ class RuntimeGovernor {
   /// governor took bitwise-identical decisions.
   std::uint64_t trace_hash() const;
 
-  /// Returns to kNormal with empty window, counters, and trace; the
-  /// configuration is kept.
+  /// Returns to kNormal with empty window, counters, and trace.
   void reset();
 
  private:
   void maybe_transition();
   void transition_to(GovernorState next);
 
-  GovernorConfig config_;
   GovernorState state_ = GovernorState::kNormal;
-  /// Ring buffer of the last `config_.window` overrun flags.
-  std::vector<std::uint8_t> window_;
+  /// Ring buffer of the last kWindow overrun flags.
+  std::array<std::uint8_t, kWindow> window_{};
   std::size_t window_next_ = 0;
   std::size_t window_filled_ = 0;
   std::size_t window_overruns_ = 0;

@@ -24,12 +24,6 @@ ModelCache::ModelCache(std::size_t model_count, const CacheConfig& config)
       use_counts_(model_count, 0), health_(model_count) {
   ANOLE_CHECK_GE(config.capacity, 1u, "ModelCache: capacity must be >= 1");
   ANOLE_CHECK_GE(model_count, 1u, "ModelCache: no models to cache");
-  ANOLE_CHECK_GE(config.max_load_attempts, 1u,
-                 "ModelCache: max_load_attempts must be >= 1");
-  ANOLE_CHECK_GE(config.quarantine_after, 1u,
-                 "ModelCache: quarantine_after must be >= 1");
-  ANOLE_CHECK_GE(config.quarantine_frames, 1u,
-                 "ModelCache: quarantine_frames must be >= 1");
 }
 
 std::optional<std::size_t> ModelCache::find(std::size_t model) const {
@@ -192,9 +186,9 @@ void ModelCache::consult_memory_pressure() {
   if (faults_ == nullptr || config_.memory_budget_bytes == 0) return;
   if (!faults_->should_fail(fault::Site::kMemoryPressure, clock_)) return;
   // The OS reclaims memory: the effective budget shrinks by the armed
-  // magnitude (a divisor) for the next pressure_window admissions, and
+  // magnitude (a divisor) for the next kPressureWindow admissions, and
   // residents are evicted down to the shrunk budget immediately.
-  pressure_until_ = clock_ + config_.pressure_window;
+  pressure_until_ = clock_ + kPressureWindow;
   pressure_divisor_ =
       std::max(1.0, faults_->magnitude(fault::Site::kMemoryPressure));
   ++pressure_events_;
@@ -219,8 +213,7 @@ void ModelCache::set_memory_budget_bytes(std::uint64_t budget) {
 
 bool ModelCache::try_load(std::size_t model, Admission& admission) {
   Health& health = health_[model];
-  for (std::size_t attempt = 1; attempt <= config_.max_load_attempts;
-       ++attempt) {
+  for (std::size_t attempt = 1; attempt <= kMaxLoadAttempts; ++attempt) {
     admission.load_attempts = attempt;
     if (faults_ != nullptr &&
         faults_->should_fail(fault::Site::kModelLoad, model)) {
@@ -235,11 +228,10 @@ bool ModelCache::try_load(std::size_t model, Admission& admission) {
   admission.load_abandoned = true;
   ++abandoned_loads_;
   ++health.consecutive_abandoned;
-  if (health.consecutive_abandoned >= config_.quarantine_after) {
+  if (health.consecutive_abandoned >= kQuarantineAfter) {
     const std::size_t backoff =
         std::min<std::size_t>(health.quarantine_count, 6);
-    health.quarantined_until =
-        clock_ + (config_.quarantine_frames << backoff);
+    health.quarantined_until = clock_ + (kQuarantineFrames << backoff);
     ++health.quarantine_count;
     health.consecutive_abandoned = 0;
     ++quarantine_events_;

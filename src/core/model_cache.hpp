@@ -8,9 +8,9 @@
 // FIFO are kept for the ablation bench).
 //
 // Degradation ladder (DESIGN.md §9): model loads can fail (exercised via
-// util/fault.hpp). A failed load is retried up to `max_load_attempts`
+// util/fault.hpp). A failed load is retried up to kMaxLoadAttempts
 // times within the admission; a model whose loads are abandoned
-// `quarantine_after` times in a row is quarantined — exiled from rankings
+// kQuarantineAfter times in a row is quarantined — exiled from rankings
 // for a cooldown that doubles on every repeat offence, then re-admitted.
 // When no ranked model is admissible (all quarantined, or the ranking is
 // empty), the pinned fallback model serves the frame; its load bypasses
@@ -47,19 +47,10 @@ const char* to_string(EvictionPolicy policy);
 struct CacheConfig {
   std::size_t capacity = 5;
   EvictionPolicy policy = EvictionPolicy::kLfu;
-  /// Load attempts per admission before the load is abandoned.
-  std::size_t max_load_attempts = 3;
-  /// Consecutive abandoned loads before a model is quarantined.
-  std::size_t quarantine_after = 3;
-  /// Base quarantine cooldown in admissions; doubles per repeat offence
-  /// (capped), giving decayed re-admission.
-  std::size_t quarantine_frames = 64;
   /// Resident-weight byte cap; 0 disables byte accounting entirely (the
   /// cache is bounded by `capacity` slots only, today's behavior). Takes
   /// effect once `set_model_bytes` supplies per-model sizes.
   std::uint64_t memory_budget_bytes = 0;
-  /// Admissions a `memory_pressure` fault keeps the budget shrunk for.
-  std::size_t pressure_window = 128;
 };
 
 /// Per-admission knobs (the governor's levers). Defaults preserve the
@@ -74,6 +65,16 @@ struct AdmitOptions {
 
 class ModelCache {
  public:
+  /// Load attempts per admission before the load is abandoned.
+  static constexpr std::size_t kMaxLoadAttempts = 3;
+  /// Consecutive abandoned loads before a model is quarantined.
+  static constexpr std::size_t kQuarantineAfter = 3;
+  /// Base quarantine cooldown in admissions; doubles per repeat offence
+  /// (capped at 2^6 times the base), giving decayed re-admission.
+  static constexpr std::size_t kQuarantineFrames = 64;
+  /// Admissions a `memory_pressure` fault keeps the budget shrunk for.
+  static constexpr std::size_t kPressureWindow = 128;
+
   /// What happened for one frame's ranking.
   struct Admission {
     /// Model used to serve this frame (best-ranked resident model).
@@ -236,7 +237,7 @@ class ModelCache {
   /// Evicts victims until the resident total fits the effective budget.
   void enforce_budget();
   /// One deterministic memory-pressure draw per admission (site
-  /// `memory_pressure`); a hit shrinks the budget for pressure_window
+  /// `memory_pressure`); a hit shrinks the budget for kPressureWindow
   /// admissions.
   void consult_memory_pressure();
 

@@ -1,6 +1,7 @@
 #include "core/quantize.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "detect/detector_trainer.hpp"
@@ -9,6 +10,17 @@
 
 namespace anole::core {
 namespace {
+
+/// A detector below the acceptance bar at int8 stays quantized as long as
+/// its F1 dropped by at most this much from fp32.
+constexpr double kMaxF1Drop = 0.02;
+/// Probe guard bound: mean |fp32 - int8| over probe outputs for networks
+/// with no validation pool (decision head, artifact loads).
+constexpr double kMaxOutputDelta = 0.02;
+/// Probe batch size and seed of the synthetic probe inputs (fixed: the
+/// guard itself must be deterministic).
+constexpr std::size_t kProbes = 128;
+constexpr std::uint64_t kProbeSeed = 0x51AB17;
 
 /// Input width of the first Linear layer, or 0 when the network has none
 /// (nothing to quantize, nothing to probe).
@@ -50,20 +62,17 @@ void restore(nn::Sequential& net,
 
 /// Quantizes one network under the probe guard. Returns the measured
 /// delta; on failure the network is already restored.
-bool quantize_with_probe_guard(nn::Sequential& net,
-                               const QuantizeConfig& config,
-                               double& delta_out) {
+bool quantize_with_probe_guard(nn::Sequential& net, double& delta_out) {
   const std::size_t width = first_linear_width(net);
   delta_out = 0.0;
   if (width == 0) return false;
-  const Tensor probes =
-      probe_inputs(config.probes, width, config.probe_seed);
+  const Tensor probes = probe_inputs(kProbes, width, kProbeSeed);
   const Tensor fp32_out = net.infer(probes);
   auto displaced = nn::quantize_linear_layers(net);
   if (displaced.empty()) return false;
   const Tensor int8_out = net.infer(probes);
   delta_out = mean_abs_delta(fp32_out, int8_out);
-  if (delta_out > config.max_output_delta) {
+  if (delta_out > kMaxOutputDelta) {
     restore(net, std::move(displaced));
     return false;
   }
@@ -79,8 +88,9 @@ bool is_damaged(const AnoleSystem& system, std::size_t model_id) {
 
 }  // namespace
 
-QuantizeReport quantize_system(AnoleSystem& system,
-                               const QuantizeConfig& config) {
+QuantizeReport quantize_system(AnoleSystem& system) {
+  // The int8 detector must clear Algorithm 1's default acceptance bar.
+  const double min_validation_f1 = RepositoryConfig{}.acceptance_threshold;
   QuantizeReport report;
   report.detector_f1.assign(system.repository.size(), 0.0);
   report.detector_delta.assign(system.repository.size(), 0.0);
@@ -93,8 +103,7 @@ QuantizeReport quantize_system(AnoleSystem& system,
 
     if (model.validation_frames.empty()) {
       // Artifact-loaded systems carry no frame pools: probe guard.
-      if (quantize_with_probe_guard(net, config,
-                                    report.detector_delta[m])) {
+      if (quantize_with_probe_guard(net, report.detector_delta[m])) {
         ++report.quantized_detectors;
       } else if (report.detector_delta[m] > 0.0) {
         ++report.rejected_detectors;
@@ -105,7 +114,7 @@ QuantizeReport quantize_system(AnoleSystem& system,
     // The repository accepted this model under the delta bar; the int8
     // model must clear the same bar — or, when the model was below delta
     // even at fp32 (backfill specialists bypass Algorithm 1's check),
-    // must not fall further than max_f1_drop behind its fp32 self.
+    // must not fall further than kMaxF1Drop behind its fp32 self.
     const double fp32_f1 =
         detect::evaluate_f1(*model.detector, model.validation_frames);
     auto displaced = nn::quantize_linear_layers(net);
@@ -113,7 +122,7 @@ QuantizeReport quantize_system(AnoleSystem& system,
     const double f1 =
         detect::evaluate_f1(*model.detector, model.validation_frames);
     report.detector_f1[m] = f1;
-    if (f1 >= config.min_validation_f1 || f1 + config.max_f1_drop >= fp32_f1) {
+    if (f1 >= min_validation_f1 || f1 + kMaxF1Drop >= fp32_f1) {
       ++report.quantized_detectors;
     } else {
       restore(net, std::move(displaced));
@@ -123,7 +132,7 @@ QuantizeReport quantize_system(AnoleSystem& system,
 
   if (system.decision) {
     report.decision_quantized = quantize_with_probe_guard(
-        system.decision->head(), config, report.decision_delta);
+        system.decision->head(), report.decision_delta);
   }
   return report;
 }

@@ -12,37 +12,19 @@
 //    int8 model must still clear the same delta threshold Algorithm 1
 //    used to accept the model (RepositoryConfig::acceptance_threshold) —
 //    or, for models below delta at fp32 (backfill specialists bypass the
-//    bar), lose at most `max_f1_drop` relative to their fp32 F1.
+//    bar), lose at most 0.02 relative to their fp32 F1.
 //  - Detectors without pools (systems loaded from a deployment artifact
 //    carry no frames) and the decision head use a probe guard instead:
 //    deterministic synthetic inputs through the fp32 and int8 networks,
-//    mean absolute output delta bounded by `max_output_delta`.
+//    mean absolute output delta bounded by 0.02.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/engine.hpp"
 
 namespace anole::core {
-
-struct QuantizeConfig {
-  /// Minimum int8 validation F1 for a detector to stay quantized; the
-  /// default is the repository's Algorithm-1 acceptance threshold delta.
-  double min_validation_f1 = RepositoryConfig{}.acceptance_threshold;
-  /// Fallback bound: a detector below `min_validation_f1` stays quantized
-  /// as long as its F1 dropped by at most this much from fp32.
-  double max_f1_drop = 0.02;
-  /// Probe guard bound: mean |fp32 - int8| over probe outputs for
-  /// networks with no validation pool (decision head, artifact loads).
-  double max_output_delta = 0.02;
-  /// Probe batch size for the probe guard.
-  std::size_t probes = 128;
-  /// Seed for the synthetic probe inputs (fixed: the guard itself must be
-  /// deterministic).
-  std::uint64_t probe_seed = 0x51AB17;
-};
 
 /// What quantize_system did, for logging and benches.
 struct QuantizeReport {
@@ -66,8 +48,7 @@ struct QuantizeReport {
 /// decision head in place, subject to the per-model guards above.
 /// Damaged (placeholder) models are skipped. Idempotent: already
 /// quantized networks are left alone.
-QuantizeReport quantize_system(AnoleSystem& system,
-                               const QuantizeConfig& config = {});
+QuantizeReport quantize_system(AnoleSystem& system);
 
 /// Restores every quantized layer in the system to fp32 (the weights are
 /// the dequantized ones — quantization is lossy, so this recovers the

@@ -31,20 +31,6 @@ std::size_t env_or_hardware_threads() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-/// Default serial cutoff: ~128k scalar ops. Pool wake/steal costs a few
-/// microseconds; a loop this size finishes in roughly that time on one
-/// core, so below it the pool can only lose.
-constexpr std::size_t kDefaultSerialCutoff = std::size_t{1} << 17;
-
-std::size_t env_serial_cutoff() {
-  const char* env = std::getenv("ANOLE_SERIAL_CUTOFF");
-  if (env != nullptr && *env != '\0') {
-    return static_cast<std::size_t>(
-        spec::parse_u64(env, "ANOLE_SERIAL_CUTOFF", "the serial cutoff"));
-  }
-  return kDefaultSerialCutoff;
-}
-
 /// State of one run_chunks invocation. Heap-allocated and shared with the
 /// workers so a worker that wakes late (after the job completed and a new
 /// one started) still drains its own, exhausted, counter instead of the
@@ -213,11 +199,6 @@ void set_thread_count(std::size_t count) {
 }
 
 bool in_parallel_region() { return t_in_task; }
-
-std::size_t serial_cutoff() {
-  static const std::size_t cutoff = env_serial_cutoff();
-  return cutoff;
-}
 
 namespace detail {
 

@@ -19,13 +19,12 @@
 // signalling — more than an entire small GEMM at this codebase's layer
 // shapes. Call sites that can estimate their per-index cost pass a
 // `work_per_index` hint (approximate scalar operations per index); when
-// (end - begin) * work_per_index falls below `serial_cutoff()`
-// (ANOLE_SERIAL_CUTOFF, default 128k work units) the loop runs inline on
-// the calling thread with the exact same chunk boundaries, so the cutoff
-// can never change results — it only skips the pool. Overloads without a
-// hint always use the pool (the caller signalled nothing about cost, and
-// a coarse loop of 5 heavy items must not be serialized by an
-// element-count heuristic).
+// (end - begin) * work_per_index falls below `kSerialCutoff` (128k work
+// units) the loop runs inline on the calling thread with the exact same
+// chunk boundaries, so the cutoff can never change results — it only
+// skips the pool. Overloads without a hint always use the pool (the
+// caller signalled nothing about cost, and a coarse loop of 5 heavy items
+// must not be serialized by an element-count heuristic).
 #pragma once
 
 #include <algorithm>
@@ -48,10 +47,10 @@ void set_thread_count(std::size_t count);
 bool in_parallel_region();
 
 /// Work units (approximate scalar ops) below which the hinted overloads
-/// run inline. From ANOLE_SERIAL_CUTOFF at first use (default 1 << 17);
-/// fixed for the process, so inline decisions never depend on runtime
-/// state.
-std::size_t serial_cutoff();
+/// run inline. Pool wake/steal costs a few microseconds; a loop this size
+/// finishes in roughly that time on one core, so below it the pool can
+/// only lose.
+inline constexpr std::size_t kSerialCutoff = std::size_t{1} << 17;
 
 namespace detail {
 
@@ -62,20 +61,19 @@ inline constexpr std::size_t kNoWorkHint = ~std::size_t{0};
 /// cutoff (exact n * work_per_index < cutoff, overflow-safe).
 inline bool below_serial_cutoff(std::size_t n, std::size_t work_per_index) {
   if (n == 0) return true;
-  const std::size_t cutoff = serial_cutoff();
   const std::size_t wpi = work_per_index == 0 ? 1 : work_per_index;
-  if (wpi > cutoff / n) return false;
-  return n * wpi < cutoff;
+  if (wpi > kSerialCutoff / n) return false;
+  return n * wpi < kSerialCutoff;
 }
 
 }  // namespace detail
 
-/// Grain giving each chunk at least `serial_cutoff()` work units (never
+/// Grain giving each chunk at least `kSerialCutoff` work units (never
 /// below `base`). A function of the per-index cost only — independent of
 /// range size and thread count — so chunk boundaries stay deterministic.
 inline std::size_t work_grain(std::size_t base, std::size_t work_per_index) {
   const std::size_t wpi = work_per_index == 0 ? 1 : work_per_index;
-  return std::max(base, serial_cutoff() / wpi);
+  return std::max(base, kSerialCutoff / wpi);
 }
 
 namespace detail {

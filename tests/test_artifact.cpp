@@ -17,7 +17,6 @@
 
 #include "core/profiler.hpp"
 #include "core/quantize.hpp"
-#include "nn/quantize.hpp"
 #include "eval/f1_series.hpp"
 #include "nn/serialize.hpp"
 #include "util/check.hpp"
@@ -408,23 +407,27 @@ TEST_F(ArtifactTest, InjectedSectionCorruptionIsDeterministic) {
   EXPECT_EQ(first.second, second.second);
 }
 
-TEST_F(ArtifactTest, V1FormatStillRoundTrips) {
+TEST_F(ArtifactTest, V1FormatRejectedAsUnsupported) {
+  // v1 (unsectioned, no checksums) is not a supported format: it cannot
+  // be written, and a blob whose header says v1 fails as an unsupported
+  // version before any payload is read.
   std::stringstream stream;
-  save_system(*system_, stream, 1);
-  AnoleSystem loaded = load_system(stream);
-  EXPECT_TRUE(loaded.damaged_models.empty());
-  ASSERT_EQ(loaded.model_count(), system_->model_count());
-  for (std::size_t m = 0; m < loaded.model_count(); ++m) {
-    EXPECT_EQ(loaded.repository.model(m).name,
-              system_->repository.model(m).name);
-    EXPECT_EQ(model_weights(loaded, m), model_weights(*system_, m));
-  }
-  // v1 carries no checksums, so it is strictly smaller than v2 (the
-  // default v3 can be smaller than v1: its fp32 payloads drop the
-  // per-parameter ANOLEWTS headers).
+  EXPECT_THROW(save_system(*system_, stream, 1), std::runtime_error);
+
   std::stringstream v2_stream;
   save_system(*system_, v2_stream, 2);
-  EXPECT_LT(stream.str().size(), v2_stream.str().size());
+  std::string blob = v2_stream.str();
+  const std::uint32_t v1 = 1;
+  std::memcpy(blob.data() + 8, &v1, sizeof(v1));  // after the 8-byte magic
+  std::istringstream in(blob, std::ios::binary);
+  try {
+    (void)load_system(in);
+    FAIL() << "a v1 blob loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported version"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST_F(ArtifactTest, UnsupportedVersionRejected) {
@@ -526,11 +529,10 @@ TEST_F(ArtifactTest, LegacyVersionsRejectQuantizedSystems) {
   (void)quantize_system(quantized);
   ASSERT_TRUE(system_is_quantized(quantized));
   std::stringstream stream;
-  EXPECT_THROW(save_system(quantized, stream, 1), std::runtime_error);
   EXPECT_THROW(save_system(quantized, stream, 2), std::runtime_error);
 }
 
-TEST_F(ArtifactTest, QuantEnvZeroLoadsFp32) {
+TEST_F(ArtifactTest, DequantizeAfterLoadServesFp32) {
   AnoleSystem quantized = private_copy(*system_);
   attach_validation_pools(quantized, *system_);
   const QuantizeReport report = quantize_system(quantized);
@@ -538,9 +540,10 @@ TEST_F(ArtifactTest, QuantEnvZeroLoadsFp32) {
   std::stringstream stream;
   save_system(quantized, stream);
 
-  ::setenv("ANOLE_QUANT", "0", 1);
+  // A v3 blob loads quantized; dequantize_system is the route to fp32.
   AnoleSystem fp32_loaded = load_system(stream);
-  ::unsetenv("ANOLE_QUANT");
+  ASSERT_TRUE(system_is_quantized(fp32_loaded));
+  EXPECT_GT(dequantize_system(fp32_loaded), 0u);
   EXPECT_FALSE(system_is_quantized(fp32_loaded));
 
   CacheConfig cache_config;

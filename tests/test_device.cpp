@@ -315,7 +315,7 @@ TEST(DeviceSession, FeedsObservationsToGovernor) {
   FrameCost tight;
   tight.detector_flops = kTinyFlops;
   tight.deadline_ms = 0.5;  // every frame overruns
-  for (std::size_t i = 0; i < governor.config().window; ++i) {
+  for (std::size_t i = 0; i < core::RuntimeGovernor::kWindow; ++i) {
     (void)governor.plan();
     (void)session.process(tight);
   }

@@ -219,11 +219,10 @@ using fault::Site;
 CacheConfig ladder_config() {
   CacheConfig config;
   config.capacity = 2;
-  config.max_load_attempts = 2;
-  config.quarantine_after = 2;
-  config.quarantine_frames = 4;
   return config;
 }
+
+constexpr std::size_t kQuarantineFrames = ModelCache::kQuarantineFrames;
 
 TEST(CacheLadder, RetrySucceedsWithinOneAdmission) {
   // Hunt a seed whose model_load stream starts fail-then-succeed, so the
@@ -260,16 +259,20 @@ TEST(CacheLadder, QuarantineAfterRepeatedAbandonmentThenDecays) {
   cache.set_fault_injector(&injector);
   cache.set_pinned_fallback(0);
 
-  // First abandonment: cold cache, so the pinned fallback serves.
-  auto admission = cache.admit({1});
-  EXPECT_TRUE(admission.load_abandoned);
-  EXPECT_EQ(admission.load_attempts, 2u);
-  EXPECT_FALSE(admission.quarantined.has_value());
-  EXPECT_TRUE(admission.served_pinned);
-  EXPECT_EQ(admission.served_model, 0u);
-  EXPECT_FALSE(cache.is_quarantined(1));
+  // Abandonments short of the quarantine threshold: cold cache, so the
+  // pinned fallback serves.
+  ModelCache::Admission admission;
+  for (std::size_t i = 1; i < ModelCache::kQuarantineAfter; ++i) {
+    admission = cache.admit({1});
+    EXPECT_TRUE(admission.load_abandoned);
+    EXPECT_EQ(admission.load_attempts, ModelCache::kMaxLoadAttempts);
+    EXPECT_FALSE(admission.quarantined.has_value());
+    EXPECT_TRUE(admission.served_pinned);
+    EXPECT_EQ(admission.served_model, 0u);
+    EXPECT_FALSE(cache.is_quarantined(1));
+  }
 
-  // Second consecutive abandonment trips the quarantine.
+  // The next consecutive abandonment trips the quarantine.
   admission = cache.admit({1});
   EXPECT_TRUE(admission.load_abandoned);
   EXPECT_EQ(admission.quarantined, 1u);
@@ -284,27 +287,29 @@ TEST(CacheLadder, QuarantineAfterRepeatedAbandonmentThenDecays) {
   EXPECT_EQ(admission.served_model, 0u);
   EXPECT_EQ(admission.load_attempts, 0u);
 
-  // Decayed re-admission: the cooldown is quarantine_frames admissions
+  // Decayed re-admission: the cooldown is kQuarantineFrames admissions
   // (one was just spent above).
   std::size_t waited = 1;
   while (cache.is_quarantined(1)) {
     (void)cache.admit({0});
     ++waited;
-    ASSERT_LE(waited, 64u);
+    ASSERT_LE(waited, 4 * kQuarantineFrames);
   }
-  EXPECT_EQ(waited, 4u);
+  EXPECT_EQ(waited, kQuarantineFrames);
 
   // Re-offend: the second quarantine's cooldown is doubled.
-  (void)cache.admit({1, 0});
+  for (std::size_t i = 1; i < ModelCache::kQuarantineAfter; ++i) {
+    (void)cache.admit({1, 0});
+  }
   admission = cache.admit({1, 0});
   EXPECT_EQ(admission.quarantined, 1u);
   waited = 0;
   while (cache.is_quarantined(1)) {
     (void)cache.admit({0});
     ++waited;
-    ASSERT_LE(waited, 64u);
+    ASSERT_LE(waited, 4 * kQuarantineFrames);
   }
-  EXPECT_EQ(waited, 8u);
+  EXPECT_EQ(waited, 2 * kQuarantineFrames);
   EXPECT_EQ(cache.quarantine_events(), 2u);
 }
 

@@ -14,7 +14,6 @@
 #include "core/engine.hpp"
 #include "core/profiler.hpp"
 #include "device/session.hpp"
-#include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 
@@ -54,20 +53,7 @@ class ScopedEnv {
 namespace anole::core {
 namespace {
 
-/// Small, fast-moving controller for the unit tests.
-GovernorConfig tiny_config() {
-  GovernorConfig config;
-  config.window = 8;
-  config.throttle_enter_rate = 0.25;
-  config.throttle_exit_rate = 0.05;
-  config.shed_enter_rate = 0.75;
-  config.shed_exit_rate = 0.10;
-  config.min_dwell = 4;
-  config.recovery_dwell = 16;
-  config.ranking_refresh_period = 4;
-  config.shed_period = 3;
-  return config;
-}
+constexpr std::size_t kWindow = RuntimeGovernor::kWindow;
 
 /// Drives `count` frames whose overrun flag comes from `overrun(i)`;
 /// dropped frames are not observed (they never executed).
@@ -98,47 +84,33 @@ TEST(Governor, StateNamesAndEnvGate) {
   }
 }
 
-TEST(Governor, ConfigValidation) {
-  GovernorConfig config = tiny_config();
-  config.window = 0;
-  EXPECT_THROW(RuntimeGovernor{config}, ContractViolation);
-  config = tiny_config();
-  config.shed_period = 1;  // would drop every frame
-  EXPECT_THROW(RuntimeGovernor{config}, ContractViolation);
-  config = tiny_config();
-  config.ranking_refresh_period = 0;
-  EXPECT_THROW(RuntimeGovernor{config}, ContractViolation);
-  config = tiny_config();
-  config.throttle_exit_rate = config.throttle_enter_rate + 0.1;
-  EXPECT_THROW(RuntimeGovernor{config}, ContractViolation);
-  config = tiny_config();
-  config.shed_exit_rate = config.shed_enter_rate + 0.1;
-  EXPECT_THROW(RuntimeGovernor{config}, ContractViolation);
-  config = tiny_config();
-  config.shed_enter_rate = config.throttle_enter_rate / 2.0;
-  EXPECT_THROW(RuntimeGovernor{config}, ContractViolation);
-}
-
 TEST(Governor, NormalUntilWindowFillsThenEscalates) {
-  RuntimeGovernor governor(tiny_config());
-  // 7 observations (window is 8): never transitions, whatever the rate.
-  drive(governor, 7, [](std::size_t) { return true; });
+  RuntimeGovernor governor;
+  // One observation short of a full window: never transitions, whatever
+  // the rate.
+  drive(governor, kWindow - 1, [](std::size_t) { return true; });
   EXPECT_EQ(governor.state(), GovernorState::kNormal);
   EXPECT_EQ(governor.transitions(), 0u);
-  // The 8th fills the window at rate 1.0 >= shed_enter: Normal may jump
-  // straight to Shedding once min_dwell planned frames have elapsed.
+  // The last one fills the window at rate 1.0 >= kShedEnterRate: Normal
+  // may jump straight to Shedding once kMinDwell planned frames have
+  // elapsed (the window is longer than the dwell).
+  static_assert(kWindow >= RuntimeGovernor::kMinDwell);
   drive(governor, 1, [](std::size_t) { return true; });
   EXPECT_EQ(governor.state(), GovernorState::kShedding);
   EXPECT_EQ(governor.transitions(), 1u);
 }
 
 TEST(Governor, ModerateOverloadThrottlesNotSheds) {
-  RuntimeGovernor governor(tiny_config());
-  // Every other frame overruns: rate 0.5 in [0.25, 0.75).
-  drive(governor, 8, [](std::size_t i) { return i % 2 == 0; });
+  RuntimeGovernor governor;
+  // Every 4th frame overruns: rate 0.25, between kThrottleEnterRate and
+  // kShedEnterRate.
+  const auto every_fourth = [](std::size_t i) { return i % 4 == 0; };
+  static_assert(RuntimeGovernor::kThrottleEnterRate <= 0.25 &&
+                0.25 < RuntimeGovernor::kShedEnterRate);
+  drive(governor, kWindow, every_fourth);
   EXPECT_EQ(governor.state(), GovernorState::kThrottled);
   // A throttled directive suppresses swaps and refreshes the ranking
-  // only every ranking_refresh_period-th frame.
+  // only every kRankingRefreshPeriod-th frame.
   std::size_t refreshes = 0;
   for (std::size_t i = 0; i < 8; ++i) {
     const GovernorDirective directive = governor.plan();
@@ -146,15 +118,14 @@ TEST(Governor, ModerateOverloadThrottlesNotSheds) {
     EXPECT_FALSE(directive.drop_frame);
     EXPECT_FALSE(directive.allow_swap);
     if (directive.refresh_ranking) ++refreshes;
-    governor.observe(10.0, i % 2 == 0);  // keep the rate at 0.5
+    governor.observe(10.0, every_fourth(i));  // keep the rate at 0.25
   }
-  EXPECT_EQ(refreshes, 2u);  // every 4th of 8 frames
+  EXPECT_EQ(refreshes, 8u / RuntimeGovernor::kRankingRefreshPeriod);
 }
 
 TEST(Governor, SheddingDropsEveryKthFrameAndRecordsIt) {
-  GovernorConfig config = tiny_config();
-  RuntimeGovernor governor(config);
-  drive(governor, 8, [](std::size_t) { return true; });
+  RuntimeGovernor governor;
+  drive(governor, kWindow, [](std::size_t) { return true; });
   ASSERT_EQ(governor.state(), GovernorState::kShedding);
   const std::uint64_t planned_before = governor.frames_planned();
   std::size_t drops = 0;
@@ -167,7 +138,7 @@ TEST(Governor, SheddingDropsEveryKthFrameAndRecordsIt) {
     }
     governor.observe(50.0, true);
   }
-  EXPECT_EQ(drops, 30u / config.shed_period);
+  EXPECT_EQ(drops, 30u / RuntimeGovernor::kShedPeriod);
   EXPECT_EQ(governor.dropped_frames(), drops);
   EXPECT_EQ(governor.frames_planned(), planned_before + 30);
   // Every drop is in the trace, flagged as a drop, not a transition.
@@ -183,13 +154,13 @@ TEST(Governor, SheddingDropsEveryKthFrameAndRecordsIt) {
 }
 
 TEST(Governor, RecoveryIsSlowerThanEscalation) {
-  GovernorConfig config = tiny_config();
-  RuntimeGovernor governor(config);
-  drive(governor, 8, [](std::size_t) { return true; });
+  constexpr std::size_t kRecoveryDwell = RuntimeGovernor::kRecoveryDwell;
+  RuntimeGovernor governor;
+  drive(governor, kWindow, [](std::size_t) { return true; });
   ASSERT_EQ(governor.state(), GovernorState::kShedding);
 
-  // All-clear traffic: the window drains within 8 observed frames, but
-  // de-escalation waits for recovery_dwell planned frames per step.
+  // All-clear traffic: the window drains within kWindow observed frames,
+  // but de-escalation waits for kRecoveryDwell planned frames per step.
   std::size_t frames_to_throttled = 0;
   while (governor.state() == GovernorState::kShedding) {
     drive(governor, 1, [](std::size_t) { return false; });
@@ -197,7 +168,7 @@ TEST(Governor, RecoveryIsSlowerThanEscalation) {
     ASSERT_LE(frames_to_throttled, 1000u);
   }
   EXPECT_EQ(governor.state(), GovernorState::kThrottled);
-  EXPECT_GE(frames_to_throttled, config.recovery_dwell - config.window);
+  EXPECT_GE(frames_to_throttled, kRecoveryDwell - kWindow);
 
   std::size_t frames_to_normal = 0;
   while (governor.state() == GovernorState::kThrottled) {
@@ -206,7 +177,7 @@ TEST(Governor, RecoveryIsSlowerThanEscalation) {
     ASSERT_LE(frames_to_normal, 1000u);
   }
   EXPECT_EQ(governor.state(), GovernorState::kNormal);
-  EXPECT_GE(frames_to_normal, config.recovery_dwell);
+  EXPECT_GE(frames_to_normal, kRecoveryDwell);
   // Back to normal: swaps allowed, nothing dropped.
   const GovernorDirective directive = governor.plan();
   EXPECT_TRUE(directive.allow_swap);
@@ -221,8 +192,8 @@ TEST(Governor, TraceIsDeterministicAndResetReplays) {
       return (i >= 50 && i < 150) || (i >= 250 && i < 300);
     });
   };
-  RuntimeGovernor a(tiny_config());
-  RuntimeGovernor b(tiny_config());
+  RuntimeGovernor a;
+  RuntimeGovernor b;
   scenario(a);
   scenario(b);
   EXPECT_GT(a.transitions(), 0u);
@@ -247,7 +218,6 @@ namespace {
 using device::DeviceProfile;
 using device::DeviceSession;
 using device::FrameCost;
-using core::GovernorConfig;
 using core::GovernorState;
 using device::MemoryModel;
 using core::RuntimeGovernor;
@@ -336,10 +306,10 @@ struct LoopOutcome {
 /// shed before execution).
 LoopOutcome run_loop(AnoleSystem& system,
                      const std::vector<const world::Frame*>& frames,
-                     EngineConfig config, const GovernorConfig* governed) {
+                     EngineConfig config, bool governed) {
   std::unique_ptr<RuntimeGovernor> governor;
-  if (governed != nullptr) {
-    governor = std::make_unique<RuntimeGovernor>(*governed);
+  if (governed) {
+    governor = std::make_unique<RuntimeGovernor>();
     config.governor = governor.get();
   }
   AnoleEngine engine(system, config);
@@ -390,10 +360,9 @@ TEST_F(GovernorEngineTest, GovernorReducesOverrunsUnderMissPressure) {
   ScopedEnv env("ANOLE_GOVERNOR", nullptr);
   const auto frames = spliced_stream(240);  // 1200 fast-changing frames
   const LoopOutcome ungoverned =
-      run_loop(*system_, frames, small_cache_config(), nullptr);
-  const GovernorConfig governed_config;  // defaults
+      run_loop(*system_, frames, small_cache_config(), false);
   const LoopOutcome governed =
-      run_loop(*system_, frames, small_cache_config(), &governed_config);
+      run_loop(*system_, frames, small_cache_config(), true);
 
   // Every model load streams ~560 ms of weights against a 33 ms deadline,
   // so a tight cache overruns on every swap; the governor suppresses
@@ -413,16 +382,14 @@ TEST_F(GovernorEngineTest, GovernorEnvZeroReproducesUngovernedExactly) {
   LoopOutcome baseline;
   {
     ScopedEnv env("ANOLE_GOVERNOR", nullptr);
-    baseline = run_loop(*system_, frames, small_cache_config(), nullptr);
+    baseline = run_loop(*system_, frames, small_cache_config(), false);
   }
   // Same run with a governor wired in but disabled by ANOLE_GOVERNOR=0:
   // the engine and session must never consult it.
-  const GovernorConfig governed_config;
   LoopOutcome disabled;
   {
     ScopedEnv env("ANOLE_GOVERNOR", "0");
-    disabled = run_loop(*system_, frames, small_cache_config(),
-                        &governed_config);
+    disabled = run_loop(*system_, frames, small_cache_config(), true);
   }
   EXPECT_EQ(disabled.served, baseline.served);
   EXPECT_EQ(disabled.overruns, baseline.overruns);
@@ -431,14 +398,13 @@ TEST_F(GovernorEngineTest, GovernorEnvZeroReproducesUngovernedExactly) {
   EXPECT_EQ(disabled.reused_rankings, 0u);
   EXPECT_EQ(disabled.governor_transitions, 0u);
   // An untouched governor has an empty trace: the FNV-1a offset basis.
-  RuntimeGovernor untouched{GovernorConfig{}};
+  const RuntimeGovernor untouched;
   EXPECT_EQ(disabled.governor_hash, untouched.trace_hash());
 }
 
 TEST_F(GovernorEngineTest, GovernorTraceIsThreadCountAndRerunInvariant) {
   ScopedEnv env("ANOLE_GOVERNOR", nullptr);
   const auto frames = spliced_stream(160);  // 800 fast-changing frames
-  const GovernorConfig governed_config;
   const std::size_t saved_threads = par::thread_count();
 
   // The closed loop is inherently sequential (each frame's decision
@@ -447,13 +413,13 @@ TEST_F(GovernorEngineTest, GovernorTraceIsThreadCountAndRerunInvariant) {
   // bitwise thread-count-invariant.
   par::set_thread_count(1);
   const LoopOutcome serial =
-      run_loop(*system_, frames, small_cache_config(), &governed_config);
+      run_loop(*system_, frames, small_cache_config(), true);
   par::set_thread_count(4);
   const LoopOutcome threaded =
-      run_loop(*system_, frames, small_cache_config(), &governed_config);
+      run_loop(*system_, frames, small_cache_config(), true);
   // Rerun at the same thread count: bitwise replay.
   const LoopOutcome rerun =
-      run_loop(*system_, frames, small_cache_config(), &governed_config);
+      run_loop(*system_, frames, small_cache_config(), true);
   par::set_thread_count(saved_threads);
 
   EXPECT_GT(serial.governor_transitions, 0u);
@@ -466,7 +432,7 @@ TEST_F(GovernorEngineTest, GovernorTraceIsThreadCountAndRerunInvariant) {
 }
 
 TEST_F(GovernorEngineTest, GovernorSoakBoundedDropsUnderFaults) {
-  // Soak for check.sh stage 7: a long governed session under injected
+  // Soak for check.sh's soak stage: a long governed session under injected
   // I/O spikes and memory pressure must serve or explicitly shed every
   // frame with zero contract violations and a bounded drop rate.
   // ANOLE_SOAK_FRAMES scales the stream (check.sh uses 10000).
@@ -490,9 +456,7 @@ TEST_F(GovernorEngineTest, GovernorSoakBoundedDropsUnderFaults) {
   config.cache.memory_budget_bytes = 3 * max_bytes;
 
   const auto frames = frame_stream(frame_count);
-  const GovernorConfig governed_config;
-  const LoopOutcome outcome =
-      run_loop(*system_, frames, config, &governed_config);
+  const LoopOutcome outcome = run_loop(*system_, frames, config, true);
 
   EXPECT_EQ(outcome.served.size(), frame_count);
   EXPECT_EQ(outcome.executed_frames + outcome.dropped, frame_count);
@@ -531,7 +495,7 @@ TEST_F(GovernorEngineTest, MemoryPressureUnderGovernorStaysReplayable) {
           max_bytes, system_->repository.detector(m).weight_bytes());
     }
     config.cache.memory_budget_bytes = 2 * max_bytes;
-    RuntimeGovernor governor{GovernorConfig{}};
+    RuntimeGovernor governor;
     config.governor = &governor;
     AnoleEngine engine(*system_, config);
     const auto profile = DeviceProfile::jetson_tx2_nx(

@@ -250,31 +250,32 @@ TEST(ModelCachePreload, CannotResurrectEvictedQuarantinedResident) {
 }
 
 TEST(ModelCacheLadder, CooldownDoublingIsCapped) {
-  // Each repeat offence doubles the cooldown, capped at 2^6 base frames:
-  // 1, 2, 4, ..., 64, 64, 64 for quarantine_frames = 1.
-  CacheConfig config = make_config(2, EvictionPolicy::kLfu);
-  config.max_load_attempts = 1;
-  config.quarantine_after = 1;
-  config.quarantine_frames = 1;
+  // Each repeat offence doubles the cooldown, capped at 2^6 times the
+  // base of 64 admissions: 64, 128, ..., 4096, 4096, 4096.
   fault::FaultInjector injector;
   injector.arm(fault::Site::kModelLoad, 1.0);  // every load fails
-  ModelCache cache(3, config);
+  ModelCache cache(3, make_config(2, EvictionPolicy::kLfu));
   cache.set_fault_injector(&injector);
   cache.set_pinned_fallback(0);
 
   std::vector<std::size_t> cooldowns;
   for (int offence = 0; offence < 9; ++offence) {
+    // The first kQuarantineAfter - 1 abandonments only count.
+    for (std::size_t i = 1; i < ModelCache::kQuarantineAfter; ++i) {
+      ASSERT_FALSE(cache.admit({1, 0}).quarantined.has_value());
+    }
     const auto admission = cache.admit({1, 0});
     ASSERT_EQ(admission.quarantined, 1u) << "offence " << offence;
     std::size_t waited = 0;
     while (cache.is_quarantined(1)) {
       (void)cache.admit({0});
       ++waited;
-      ASSERT_LE(waited, 200u);
+      ASSERT_LE(waited, 5000u);
     }
     cooldowns.push_back(waited);
   }
-  const std::vector<std::size_t> expected = {1, 2, 4, 8, 16, 32, 64, 64, 64};
+  const std::vector<std::size_t> expected = {64,   128,  256,  512, 1024,
+                                             2048, 4096, 4096, 4096};
   EXPECT_EQ(cooldowns, expected);
 }
 
@@ -383,9 +384,7 @@ TEST(ModelCacheBudget, PreloadRespectsBudget) {
 }
 
 TEST(ModelCacheBudget, MemoryPressureShrinksBudgetForAWindow) {
-  CacheConfig config = budget_config(3, 120);
-  config.pressure_window = 4;
-  ModelCache cache(3, config);
+  ModelCache cache(3, budget_config(3, 120));
   const std::vector<std::uint64_t> bytes = {50, 50, 50};
   cache.set_model_bytes(bytes);
   const std::vector<std::size_t> models = {0, 1};
@@ -403,9 +402,13 @@ TEST(ModelCacheBudget, MemoryPressureShrinksBudgetForAWindow) {
   EXPECT_LE(cache.resident_bytes(), 60u);
   EXPECT_EQ(cache.pressure_events(), 1u);
 
-  // Disarm and wait out the window: the full budget returns.
+  // Disarm and wait out the window: the full budget returns, not before.
   injector.disarm(fault::Site::kMemoryPressure);
-  for (int i = 0; i < 4; ++i) (void)cache.admit({0, 1, 2});
+  for (std::size_t i = 1; i < ModelCache::kPressureWindow; ++i) {
+    (void)cache.admit({0, 1, 2});
+  }
+  EXPECT_TRUE(cache.under_pressure());
+  (void)cache.admit({0, 1, 2});
   EXPECT_FALSE(cache.under_pressure());
   EXPECT_EQ(cache.effective_budget_bytes(), 120u);
 }

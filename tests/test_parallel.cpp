@@ -469,7 +469,7 @@ TEST(SimdDispatch, SigmoidTermsSupportInPlace) {
 // --- serial cutoff --------------------------------------------------------
 
 TEST(SerialCutoff, BoundarySemanticsAreExact) {
-  const std::size_t cutoff = par::serial_cutoff();
+  const std::size_t cutoff = par::kSerialCutoff;
   ASSERT_GT(cutoff, 1u);
   // Strictly-below comparison: n * wpi == cutoff stays parallel.
   EXPECT_TRUE(par::detail::below_serial_cutoff(cutoff - 1, 1));
@@ -488,7 +488,7 @@ TEST(SerialCutoff, BoundarySemanticsAreExact) {
 }
 
 TEST(SerialCutoff, WorkGrainDerivesFromPerIndexCost) {
-  const std::size_t cutoff = par::serial_cutoff();
+  const std::size_t cutoff = par::kSerialCutoff;
   EXPECT_EQ(par::work_grain(16, 1), std::max<std::size_t>(16, cutoff));
   EXPECT_EQ(par::work_grain(16, cutoff), 16u);
   EXPECT_EQ(par::work_grain(16, 0), par::work_grain(16, 1));
@@ -528,7 +528,7 @@ TEST(SerialCutoff, HintedAndUnhintedChunkingMatchBitwise) {
   // 5000 * 1 ops is below the cutoff (inline), 5000 * big is above
   // (pool); the chunking is identical, so the sums are bitwise equal.
   const float inline_sum = sum_with_hint(1);
-  const float pooled_sum = sum_with_hint(par::serial_cutoff());
+  const float pooled_sum = sum_with_hint(par::kSerialCutoff);
   const float unhinted_sum = par::parallel_reduce(
       std::size_t{0}, values.size(), std::size_t{256}, 0.0f,
       [&](std::size_t lo, std::size_t hi) {
